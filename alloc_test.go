@@ -103,20 +103,14 @@ func TestPipelineStepWithDecodeCacheAllocFree(t *testing.T) {
 }
 
 // TestStateHashAllocFree pins the masked-detection digest: after the space
-// seals, Hash is a pure sweep of the packed backing and must not allocate
-// in either digest mode.
+// seals, Hash is a pure sweep of the packed backing and must not allocate.
 func TestStateHashAllocFree(t *testing.T) {
 	p := warmPipeline(t)
 	s := p.State()
 	var sink uint64
-	for _, legacy := range []bool{false, true} {
-		s.SetLegacyHash(legacy)
-		allocs := testing.AllocsPerRun(1_000, func() { sink ^= s.Hash() })
-		if allocs != 0 {
-			t.Fatalf("Hash (legacy=%v) allocated %.2f objects/op, want 0", legacy, allocs)
-		}
+	if allocs := testing.AllocsPerRun(1_000, func() { sink ^= s.Hash() }); allocs != 0 {
+		t.Fatalf("Hash allocated %.2f objects/op, want 0", allocs)
 	}
-	s.SetLegacyHash(false)
 	_ = sink
 }
 

@@ -259,8 +259,7 @@ func BenchmarkPipelineCycle(b *testing.B) {
 }
 
 // BenchmarkStateHash measures the state-digest cost that dominates masked
-// detection in campaigns: the packed extent walk against the original
-// per-element digest it replaced (kept behind SetLegacyHash).
+// detection in campaigns: the packed extent walk.
 func BenchmarkStateHash(b *testing.B) {
 	prog := workload.MustGenerate(workload.Gzip, workload.Config{Seed: 1})
 	m, err := prog.NewMemory()
@@ -272,21 +271,13 @@ func BenchmarkStateHash(b *testing.B) {
 		b.Fatal(err)
 	}
 	p.RunCycles(2000)
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"packed", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			p.State().SetLegacyHash(mode.legacy)
-			defer p.State().SetLegacyHash(false)
-			b.ResetTimer()
-			var sink uint64
-			for i := 0; i < b.N; i++ {
-				sink ^= p.State().Hash()
-			}
-			_ = sink
-		})
-	}
+	b.Run("packed", func(b *testing.B) {
+		var sink uint64
+		for i := 0; i < b.N; i++ {
+			sink ^= p.State().Hash()
+		}
+		_ = sink
+	})
 }
 
 // BenchmarkPipelineCycleDecodeCache measures cycle throughput in the

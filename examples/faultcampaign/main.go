@@ -35,10 +35,11 @@ func run() error {
 		Seed:           2026,
 		Points:         10,
 		TrialsPerPoint: 40,
-		// Trials fan out across every CPU; the campaign engine pre-draws
-		// all random picks serially, so the results are bit-identical to
-		// a Workers: 0 serial run.
-		Workers: runtime.NumCPU(),
+		// Exec says how the campaign runs, never what it computes. Trials
+		// fan out across every CPU; the campaign driver pre-draws all
+		// random picks serially, so the results are bit-identical to a
+		// Workers: 0 serial run.
+		Exec: inject.Exec{Workers: runtime.NumCPU()},
 	}
 	fmt.Printf("injecting %d single-bit faults into the pipeline running %s (%d workers)...\n\n",
 		cfg.Points*cfg.TrialsPerPoint, cfg.Bench, cfg.Workers)

@@ -42,8 +42,9 @@ func campaign(sink obs.Sink) (*inject.UArchResult, error) {
 		WarmupCycles:   5_000,
 		SpreadCycles:   10_000,
 		WindowCycles:   5_000,
-		Workers:        runtime.NumCPU(),
-		Obs:            sink,
+		// Execution options (workers, telemetry sink, durability) never
+		// change the trials, which is what the comparison below proves.
+		Exec: inject.Exec{Workers: runtime.NumCPU(), Obs: sink},
 	})
 }
 

@@ -59,14 +59,16 @@ func AblateJRS(opts Options, thresholds []uint8, interval uint64) (*JRSAblationR
 			inputs []perf.Inputs
 		)
 		for _, bench := range opts.Benchmarks {
-			r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
+			cfg := inject.UArchConfig{
 				Bench:          bench,
 				Seed:           opts.Seed,
 				Scale:          opts.Scale,
 				Points:         scaleCount(12, opts.TrialFactor, 3),
 				TrialsPerPoint: scaleCount(60, opts.TrialFactor, 10),
 				Pipeline:       &pcfg,
-			}))
+			}
+			cfg.Exec = opts.exec(cfg.CampaignID())
+			r, err := inject.RunUArch(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("ablate-jrs %s threshold %d: %w", bench, th, err)
 			}

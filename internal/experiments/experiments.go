@@ -79,34 +79,20 @@ type Options struct {
 	Interrupt <-chan struct{}
 }
 
-// vmCampaign copies the durability options into a software-level campaign
-// configuration.
-func (o Options) vmCampaign(cfg inject.VMConfig) inject.VMConfig {
-	cfg.Interrupt = o.Interrupt
+// exec derives a campaign's execution options from the experiment options.
+// id is the campaign's CampaignID, which names its journal directory and its
+// golden image.
+func (o Options) exec(id string) inject.Exec {
+	x := inject.Exec{Workers: o.Workers, Progress: o.Progress, Obs: o.Obs, Interrupt: o.Interrupt}
 	if o.CampaignRoot != "" {
-		cfg.ResumeFrom = filepath.Join(o.CampaignRoot, cfg.CampaignID())
-		cfg.ShardIndex, cfg.ShardCount = o.ShardIndex, o.ShardCount
-		cfg.CompressJournal = o.CompressJournal
+		x.ResumeFrom = filepath.Join(o.CampaignRoot, id)
+		x.ShardIndex, x.ShardCount = o.ShardIndex, o.ShardCount
+		x.CompressJournal = o.CompressJournal
 	}
 	if o.GoldenImageRoot != "" {
-		cfg.GoldenImage = filepath.Join(o.GoldenImageRoot, cfg.CampaignID()+".golden")
+		x.GoldenImage = filepath.Join(o.GoldenImageRoot, id+".golden")
 	}
-	return cfg
-}
-
-// uarchCampaign copies the durability options into a microarchitectural
-// campaign configuration.
-func (o Options) uarchCampaign(cfg inject.UArchConfig) inject.UArchConfig {
-	cfg.Interrupt = o.Interrupt
-	if o.CampaignRoot != "" {
-		cfg.ResumeFrom = filepath.Join(o.CampaignRoot, cfg.CampaignID())
-		cfg.ShardIndex, cfg.ShardCount = o.ShardIndex, o.ShardCount
-		cfg.CompressJournal = o.CompressJournal
-	}
-	if o.GoldenImageRoot != "" {
-		cfg.GoldenImage = filepath.Join(o.GoldenImageRoot, cfg.CampaignID()+".golden")
-	}
-	return cfg
+	return x
 }
 
 func (o *Options) applyDefaults() {
@@ -153,17 +139,16 @@ func Fig2(opts Options, low32 bool) (*Fig2Result, error) {
 		PerBench: make(map[workload.Benchmark]*inject.VMResult, len(opts.Benchmarks)),
 	}
 	for _, bench := range opts.Benchmarks {
-		r, err := inject.RunVM(opts.vmCampaign(inject.VMConfig{
-			Bench:    bench,
-			Seed:     opts.Seed,
-			Scale:    opts.Scale,
-			Trials:   scaleCount(1000, opts.TrialFactor, 40),
-			Window:   100_000,
-			Low32:    low32,
-			Workers:  opts.Workers,
-			Progress: opts.Progress,
-			Obs:      opts.Obs,
-		}))
+		cfg := inject.VMConfig{
+			Bench:  bench,
+			Seed:   opts.Seed,
+			Scale:  opts.Scale,
+			Trials: scaleCount(1000, opts.TrialFactor, 40),
+			Window: 100_000,
+			Low32:  low32,
+		}
+		cfg.Exec = opts.exec(cfg.CampaignID())
+		r, err := inject.RunVM(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", bench, err)
 		}
@@ -215,21 +200,7 @@ func Campaign(opts Options, cc CampaignConfig) (*UArchExperiment, error) {
 		PerBench:    make(map[workload.Benchmark]*inject.UArchResult, len(opts.Benchmarks)),
 	}
 	for _, bench := range opts.Benchmarks {
-		r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
-			Bench:          bench,
-			Seed:           opts.Seed,
-			Scale:          opts.Scale,
-			Points:         scaleCount(25, opts.TrialFactor, 4),
-			TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
-			WindowCycles:   10_000,
-			LatchesOnly:    cc.LatchesOnly,
-			Harden:         cc.Harden,
-			Policy:         cc.Policy,
-			Pipeline:       opts.Pipeline,
-			Workers:        opts.Workers,
-			Progress:       opts.Progress,
-			Obs:            opts.Obs,
-		}))
+		r, err := runCampaign(opts, bench, cc)
 		if err != nil {
 			return nil, fmt.Errorf("uarch campaign %s: %w", bench, err)
 		}
@@ -237,6 +208,24 @@ func Campaign(opts Options, cc CampaignConfig) (*UArchExperiment, error) {
 		exp.AllTrials = append(exp.AllTrials, r.Trials...)
 	}
 	return exp, nil
+}
+
+// runCampaign runs one benchmark's microarchitectural campaign.
+func runCampaign(opts Options, bench workload.Benchmark, cc CampaignConfig) (*inject.UArchResult, error) {
+	cfg := inject.UArchConfig{
+		Bench:          bench,
+		Seed:           opts.Seed,
+		Scale:          opts.Scale,
+		Points:         scaleCount(25, opts.TrialFactor, 4),
+		TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
+		WindowCycles:   10_000,
+		LatchesOnly:    cc.LatchesOnly,
+		Harden:         cc.Harden,
+		Policy:         cc.Policy,
+		Pipeline:       opts.Pipeline,
+	}
+	cfg.Exec = opts.exec(cfg.CampaignID())
+	return inject.RunUArch(cfg)
 }
 
 // Table renders the campaign at every checkpoint interval under a detector:

@@ -238,34 +238,36 @@ func TestDurabilityOptionThreading(t *testing.T) {
 		ShardIndex:      1,
 		ShardCount:      3,
 	}
-	vm := o.vmCampaign(inject.VMConfig{Bench: workload.Gzip, Trials: 10, Window: 1000})
-	if vm.ResumeFrom != filepath.Join("root", vm.CampaignID()) {
+	vmID := inject.VMConfig{Bench: workload.Gzip, Trials: 10, Window: 1000}.CampaignID()
+	vm := o.exec(vmID)
+	if vm.ResumeFrom != filepath.Join("root", vmID) {
 		t.Errorf("vm ResumeFrom = %q", vm.ResumeFrom)
 	}
 	if !vm.CompressJournal || vm.ShardIndex != 1 || vm.ShardCount != 3 {
 		t.Errorf("vm durability options not threaded: %+v", vm)
 	}
-	if vm.GoldenImage != filepath.Join("golden", vm.CampaignID()+".golden") {
+	if vm.GoldenImage != filepath.Join("golden", vmID+".golden") {
 		t.Errorf("vm GoldenImage = %q", vm.GoldenImage)
 	}
-	ua := o.uarchCampaign(inject.UArchConfig{Bench: workload.Gzip, Points: 2, TrialsPerPoint: 3})
-	if ua.ResumeFrom != filepath.Join("root", ua.CampaignID()) {
+	uaID := inject.UArchConfig{Bench: workload.Gzip, Points: 2, TrialsPerPoint: 3}.CampaignID()
+	ua := o.exec(uaID)
+	if ua.ResumeFrom != filepath.Join("root", uaID) {
 		t.Errorf("uarch ResumeFrom = %q", ua.ResumeFrom)
 	}
 	if !ua.CompressJournal || ua.ShardIndex != 1 || ua.ShardCount != 3 {
 		t.Errorf("uarch durability options not threaded: %+v", ua)
 	}
-	if ua.GoldenImage != filepath.Join("golden", ua.CampaignID()+".golden") {
+	if ua.GoldenImage != filepath.Join("golden", uaID+".golden") {
 		t.Errorf("uarch GoldenImage = %q", ua.GoldenImage)
 	}
 
 	// Golden images stand alone: no CampaignRoot needed.
-	solo := Options{GoldenImageRoot: "g"}.vmCampaign(inject.VMConfig{Bench: workload.MCF})
+	solo := Options{GoldenImageRoot: "g"}.exec(inject.VMConfig{Bench: workload.MCF}.CampaignID())
 	if solo.GoldenImage == "" || solo.ResumeFrom != "" {
 		t.Errorf("golden-only threading wrong: %+v", solo)
 	}
 	// CompressJournal without a CampaignRoot is inert — there is no journal.
-	if noRoot := (Options{CompressJournal: true}).vmCampaign(inject.VMConfig{}); noRoot.CompressJournal {
+	if noRoot := (Options{CompressJournal: true}).exec(inject.VMConfig{}.CampaignID()); noRoot.CompressJournal {
 		t.Error("CompressJournal leaked without CampaignRoot")
 	}
 }

@@ -74,18 +74,7 @@ func ProtectCompare(opts Options) (*ProtectCompareResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("protect %s: %w", bench, err)
 		}
-		r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
-			Bench:          bench,
-			Seed:           opts.Seed,
-			Scale:          opts.Scale,
-			Points:         scaleCount(25, opts.TrialFactor, 4),
-			TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
-			WindowCycles:   10_000,
-			Pipeline:       opts.Pipeline,
-			Workers:        opts.Workers,
-			Progress:       opts.Progress,
-			Obs:            opts.Obs,
-		}))
+		r, err := runCampaign(opts, bench, CampaignConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("protect %s: %w", bench, err)
 		}
@@ -164,18 +153,7 @@ func BudgetSweep(opts Options, budgets []uint64) (*BudgetSweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("budget-sweep %s: %w", bench, err)
 		}
-		r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
-			Bench:          bench,
-			Seed:           opts.Seed,
-			Scale:          opts.Scale,
-			Points:         scaleCount(25, opts.TrialFactor, 4),
-			TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
-			WindowCycles:   10_000,
-			Pipeline:       opts.Pipeline,
-			Workers:        opts.Workers,
-			Progress:       opts.Progress,
-			Obs:            opts.Obs,
-		}))
+		r, err := runCampaign(opts, bench, CampaignConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("budget-sweep %s: %w", bench, err)
 		}

@@ -6,11 +6,11 @@ import (
 	"repro/internal/workload"
 )
 
-// The decode cache, the early-exit trial loop and the packed state digest
-// are pure speedups: each is independently toggleable, and campaign results
-// must be byte-identical whichever combination is enabled, at any worker
-// count. These tests pin that contract across the whole benchmark suite —
-// they are the reason the toggles exist.
+// The decode cache and the early-exit trial loop are pure speedups: each is
+// independently toggleable from in-package tests, and campaign results must
+// be byte-identical whichever combination is enabled, at any worker count.
+// These tests pin that contract across the whole benchmark suite — they are
+// the reason the toggles exist.
 
 func sameUArchTrials(t *testing.T, name string, base, got *UArchResult) {
 	t.Helper()
@@ -54,11 +54,10 @@ func TestUArchSpeedupTogglesAreInert(t *testing.T) {
 				name string
 				mut  func(*UArchConfig)
 			}{
-				{"no-decode-cache", func(c *UArchConfig) { c.NoDecodeCache = true }},
-				{"no-early-exit", func(c *UArchConfig) { c.NoEarlyExit = true }},
-				{"legacy-hash", func(c *UArchConfig) { c.LegacyHash = true }},
+				{"no-decode-cache", func(c *UArchConfig) { c.noDecodeCache = true }},
+				{"no-early-exit", func(c *UArchConfig) { c.noEarlyExit = true }},
 				{"all-off-parallel4", func(c *UArchConfig) {
-					c.NoDecodeCache, c.NoEarlyExit, c.LegacyHash = true, true, true
+					c.noDecodeCache, c.noEarlyExit = true, true
 					c.Workers = 4
 				}},
 			}
@@ -88,10 +87,10 @@ func TestVMSpeedupTogglesAreInert(t *testing.T) {
 				name string
 				mut  func(*VMConfig)
 			}{
-				{"no-decode-cache", func(c *VMConfig) { c.NoDecodeCache = true }},
-				{"no-early-exit", func(c *VMConfig) { c.NoEarlyExit = true }},
+				{"no-decode-cache", func(c *VMConfig) { c.noDecodeCache = true }},
+				{"no-early-exit", func(c *VMConfig) { c.noEarlyExit = true }},
 				{"all-off-parallel4", func(c *VMConfig) {
-					c.NoDecodeCache, c.NoEarlyExit = true, true
+					c.noDecodeCache, c.noEarlyExit = true, true
 					c.Workers = 4
 				}},
 			}

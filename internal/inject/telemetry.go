@@ -28,43 +28,23 @@ func metricName(category string) string {
 	return s
 }
 
-// recordCampaignCommon emits the telemetry both campaign types share.
-func recordCampaignCommon(sink obs.Sink, prefix string, trials int, truncated bool, elapsed time.Duration) {
-	sink.Counter(prefix + "_trials_total").Add(int64(trials))
+// recordCampaign accounts one finished (possibly truncated) campaign.
+// Outcomes are classified at the campaign's observation window — for the
+// microarchitectural campaign under the perfect detector, the raw upset
+// taxonomy before any checkpoint-interval policy is applied.
+func recordCampaign[T trialRecord](sink obs.Sink, prefix string, trials []T, window uint64, points int, truncated bool, elapsed time.Duration) {
+	if sink == nil {
+		return
+	}
+	sink.Counter(prefix + "_trials_total").Add(int64(len(trials)))
+	sink.Counter(prefix + "_points_total").Add(int64(points))
 	if truncated {
 		sink.Counter(prefix + "_truncated_total").Inc()
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
-		sink.Gauge(prefix + "_trials_per_second").Set(float64(trials) / secs)
+		sink.Gauge(prefix + "_trials_per_second").Set(float64(len(trials)) / secs)
 	}
-}
-
-// recordVMTelemetry accounts one finished (possibly truncated) VM campaign.
-func recordVMTelemetry(sink obs.Sink, r *VMResult, truncated bool, elapsed time.Duration) {
-	if sink == nil {
-		return
-	}
-	const prefix = "campaign_vm"
-	recordCampaignCommon(sink, prefix, len(r.Trials), truncated, elapsed)
-	for _, t := range r.Trials {
-		cat := t.CategoryAt(r.Config.Window).String()
-		sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
-	}
-}
-
-// recordUArchTelemetry accounts one finished (possibly truncated)
-// microarchitectural campaign. Outcomes are classified at the campaign's
-// observation window under the perfect detector — the raw upset taxonomy,
-// before any checkpoint-interval policy is applied.
-func recordUArchTelemetry(sink obs.Sink, r *UArchResult, truncated bool, elapsed time.Duration) {
-	if sink == nil {
-		return
-	}
-	const prefix = "campaign_uarch"
-	recordCampaignCommon(sink, prefix, len(r.Trials), truncated, elapsed)
-	sink.Counter(prefix + "_points_total").Add(int64(len(r.Trials) / max(1, r.Config.TrialsPerPoint)))
-	for _, t := range r.Trials {
-		cat := t.CategoryAt(r.Config.WindowCycles, DetectorPerfect).String()
-		sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
+	for _, t := range trials {
+		sink.Counter(prefix + "_outcome_" + metricName(t.outcome(window)) + "_total").Inc()
 	}
 }

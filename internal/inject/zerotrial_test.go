@@ -57,8 +57,8 @@ func TestZeroTrialUArchAggregates(t *testing.T) {
 // dividing by the empty trial set.
 func TestZeroTrialTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
-	recordVMTelemetry(reg, &VMResult{}, true, time.Millisecond)
-	recordUArchTelemetry(reg, &UArchResult{}, true, time.Millisecond)
+	recordCampaign[VMTrial](reg, "campaign_vm", nil, 0, 0, true, time.Millisecond)
+	recordCampaign[UArchTrial](reg, "campaign_uarch", nil, 0, 0, true, time.Millisecond)
 	for _, prefix := range []string{"campaign_vm", "campaign_uarch"} {
 		if got := reg.Counter(prefix + "_trials_total").Value(); got != 0 {
 			t.Errorf("%s_trials_total = %d", prefix, got)

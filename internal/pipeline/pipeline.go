@@ -297,7 +297,6 @@ func (p *Pipeline) Clone() *Pipeline {
 	n.dtlb = p.dtlb.Clone()
 	n.registerState() // rebind the clone's slices onto its own packed backing
 	n.space.copyPackedFrom(&p.space)
-	n.space.legacyHash = p.space.legacyHash
 	return n
 }
 
@@ -319,7 +318,6 @@ func (p *Pipeline) Clone() *Pipeline {
 func (p *Pipeline) ResetFrom(src *Pipeline) {
 	p.cfg = src.cfg
 	p.space.copyPackedFrom(&src.space)
-	p.space.legacyHash = src.space.legacyHash
 	p.dcache = src.dcache
 	p.fq.copyFrom(&src.fq)
 	p.rob.copyFrom(&src.rob)

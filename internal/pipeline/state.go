@@ -108,8 +108,6 @@ type StateSpace struct {
 
 	extents    []extent // equal-mask runs over packed, built at seal
 	stragglers []int    // element indices of scalar (non-packed) words
-
-	legacyHash bool
 }
 
 // Register adds a scalar state word. Words must stay valid for the lifetime
@@ -311,13 +309,9 @@ const hashMul = 0x9E3779B97F4A7C15
 // The digest is a polynomial accumulator over the packed backing array,
 // walked extent by extent (each extent shares one mask) with a single
 // splitmix64 finalisation, plus a short tail over the scalar words. Only
-// hash equality is meaningful; the values differ from the pre-packed
-// per-element digest, which SetLegacyHash(true) still provides.
+// hash equality is meaningful.
 func (s *StateSpace) Hash() uint64 {
 	s.reindex()
-	if s.legacyHash {
-		return s.hashLegacy()
-	}
 	h := uint64(hashMul)
 	for _, ex := range s.extents {
 		m := ex.mask
@@ -331,26 +325,6 @@ func (s *StateSpace) Hash() uint64 {
 	}
 	return mix64(h)
 }
-
-// hashLegacy is the original per-element digest: one splitmix64 round per
-// registered word, walked in element order.
-func (s *StateSpace) hashLegacy() uint64 {
-	h := uint64(hashMul)
-	for i := range s.elems {
-		e := &s.elems[i]
-		h = mix64(h ^ (*e.word & e.Mask()))
-	}
-	return h
-}
-
-// SetLegacyHash selects the original per-element digest instead of the
-// packed extent walk. Both digests are sound (trials compare hashes for
-// equality, never across digest choices); the toggle exists so equivalence
-// tests can prove campaign outcomes are digest-independent.
-func (s *StateSpace) SetLegacyHash(on bool) { s.legacyHash = on }
-
-// LegacyHash reports which digest Hash uses.
-func (s *StateSpace) LegacyHash() bool { return s.legacyHash }
 
 // mix64 is the splitmix64 finaliser: full avalanche so that structured,
 // mostly-zero pipeline state still hashes collision-resistantly.

@@ -55,7 +55,6 @@ var hotpathBenches = map[string]bool{
 	"BenchmarkArchSimStepDecodeCache":   true, // same, campaign configuration
 	"BenchmarkPipelineResetFrom":        true, // Pipeline.ResetFrom + mem.CopyFrom
 	"BenchmarkStateHash/packed":         true, // StateSpace.Hash extent walk
-	"BenchmarkStateHash/legacy":         true, // StateSpace.Hash per-element walk
 }
 
 // Result is one benchmark's measurements.
