@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race engine lint vet staticcheck restorelint fuzz bench bench-baseline bench-check telemetry resume serve serve-smoke protect clean
+.PHONY: all build test race engine bench-module lint vet staticcheck restorelint fuzz bench bench-baseline bench-check telemetry resume serve serve-smoke protect clean
 
 all: build test lint
 
@@ -22,6 +22,12 @@ race:
 # clone pool are checked hardest.
 engine:
 	$(GO) test -race ./internal/inject/... ./internal/experiments/...
+
+# The campaign benchmark (bench/, run by bench/run.sh) is a separate module
+# that the root build and test skip. Vet and test it so an inject or
+# experiments API change cannot break the benchmark unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # lint = vet + staticcheck (when installed) + restorelint. staticcheck is
 # optional locally — CI installs it — so the target degrades gracefully on

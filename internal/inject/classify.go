@@ -114,17 +114,31 @@ func (t VMTrial) CategoryAt(latency uint64) VMCategory {
 
 // VMDistribution bins a trial set at one detection latency.
 func VMDistribution(trials []VMTrial, latency uint64) stats.Distribution {
-	d := stats.NewDistribution(VMCategories())
-	if len(trials) == 0 {
-		return d
-	}
+	return distribution(trials, VMCategories(), func(t VMTrial) string { return t.CategoryAt(latency).String() })
+}
+
+// distribution bins trials by category as fractions of the whole set.
+func distribution[T any](trials []T, categories []string, category func(T) string) stats.Distribution {
+	d := stats.NewDistribution(categories)
 	for _, t := range trials {
-		d.Fraction[t.CategoryAt(latency).String()] += 1
+		d.Fraction[category(t)]++
 	}
 	for k := range d.Fraction {
-		d.Fraction[k] /= float64(len(trials))
+		d.Fraction[k] /= float64(len(trials)) // no keys when trials is empty
 	}
 	return d
+}
+
+// fraction returns the share of trials satisfying pred; 0, not NaN, for an
+// empty set.
+func fraction[T any](trials []T, pred func(T) bool) float64 {
+	n := 0
+	for _, t := range trials {
+		if pred(t) {
+			n++
+		}
+	}
+	return float64(n) / float64(max(len(trials), 1))
 }
 
 // ---------------------------------------------------------------------------
@@ -339,46 +353,18 @@ func (t UArchTrial) Covered(interval uint64, det Detector) bool {
 
 // UArchDistribution bins a trial set at one checkpoint interval.
 func UArchDistribution(trials []UArchTrial, interval uint64, det Detector) stats.Distribution {
-	d := stats.NewDistribution(UArchCategories())
-	if len(trials) == 0 {
-		return d
-	}
-	for _, t := range trials {
-		d.Fraction[t.CategoryAt(interval, det).String()] += 1
-	}
-	for k := range d.Fraction {
-		d.Fraction[k] /= float64(len(trials))
-	}
-	return d
+	return distribution(trials, UArchCategories(), func(t UArchTrial) string { return t.CategoryAt(interval, det).String() })
 }
 
 // FailureRate returns the fraction of trials that fail despite ReStore
 // coverage at the given interval and detector — the paper's headline
 // metric (7% baseline, ~3.5% ReStore, ~1% lhf+ReStore).
 func FailureRate(trials []UArchTrial, interval uint64, det Detector) float64 {
-	if len(trials) == 0 {
-		return 0
-	}
-	failures := 0
-	for _, t := range trials {
-		if t.Failing() && !t.Covered(interval, det) {
-			failures++
-		}
-	}
-	return float64(failures) / float64(len(trials))
+	return fraction(trials, func(t UArchTrial) bool { return t.Failing() && !t.Covered(interval, det) })
 }
 
 // RawFailureRate returns the fraction of failing trials with no detection
 // at all (the baseline processor).
 func RawFailureRate(trials []UArchTrial) float64 {
-	if len(trials) == 0 {
-		return 0
-	}
-	failures := 0
-	for _, t := range trials {
-		if t.Failing() {
-			failures++
-		}
-	}
-	return float64(failures) / float64(len(trials))
+	return fraction(trials, UArchTrial.Failing)
 }

@@ -56,6 +56,9 @@ func TestCampaignMetricsInert(t *testing.T) {
 			t.Fatal("vm trials differ with a sink attached")
 		}
 		assertCampaignAccounting(t, reg, "campaign_vm", len(instrumented.Trials))
+		if got := reg.Counter("campaign_vm_points_total").Value(); got != int64(cfg.Points) {
+			t.Errorf("points_total = %d, want %d", got, cfg.Points)
+		}
 	})
 }
 
