@@ -131,7 +131,11 @@ func (r *VMResult) Distribution(latency uint64) map[string]float64 {
 // ErrInterrupted.
 func RunVM(cfg VMConfig) (*VMResult, error) {
 	cfg.applyDefaults()
-	m, err := newVMModel(&cfg)
+	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
+	m, err := newVMModel(&cfg, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -176,11 +180,7 @@ type vmGolden struct {
 	end    arch.Snapshot
 }
 
-func newVMModel(cfg *VMConfig) (*vmModel, error) {
-	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
-	if err != nil {
-		return nil, err
-	}
+func newVMModel(cfg *VMConfig, prog *workload.Program) (*vmModel, error) {
 	memory, err := prog.NewMemory()
 	if err != nil {
 		return nil, err
