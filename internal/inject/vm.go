@@ -334,11 +334,12 @@ func (m *vmModel) prepare(slot int, out *VMTrial, w *engine) bool {
 	return false
 }
 
-// endPoint rewinds once more and makes the golden continuation permanent, so
-// the walk to the next point starts clean.
+// endPoint rewinds once more and makes the golden run up to the injection
+// point permanent, so the walk to the next point starts with an empty write
+// journal.
 func (m *vmModel) endPoint() {
 	m.rewind()
-	m.mem.DiscardTo(0)
+	m.mem.DiscardTo(m.mem.Snapshot())
 }
 
 func (m *vmModel) rewind() {
