@@ -145,23 +145,33 @@ func (s *Sim) Stopped() bool { return s.Halted || s.Excepted }
 // exception the event records the fault, architectural state is unchanged,
 // and the simulator stops (precise exception semantics: the program cannot
 // continue without a handler, per Section 3.2.1).
+func (s *Sim) Step() Event {
+	var ev Event
+	s.StepInto(&ev)
+	return ev
+}
+
+// StepInto is Step writing the event into *ev, which it overwrites whole.
+// Loops that step many instructions reuse one Event instead of copying a
+// fresh one out of every step.
 //
-// Step is the VM-level campaign's trial inner loop, annotated hot: it must
-// stay allocation-free (hotpathalloc proves it; the campaign benchmarks
-// pin 0 allocs/op dynamically).
+// StepInto is the VM-level campaign's golden and trial inner loop, annotated
+// hot: it must stay allocation-free (hotpathalloc proves it; the campaign
+// benchmarks pin 0 allocs/op dynamically).
 //
 //restorelint:hotpath
-func (s *Sim) Step() Event {
-	ev := Event{PC: s.PC}
+func (s *Sim) StepInto(ev *Event) {
+	*ev = Event{PC: s.PC}
 	if s.Stopped() {
 		ev.Exception = s.LastException
 		ev.Halted = s.Halted
-		return ev
+		return
 	}
 
 	word, err := s.Mem.FetchWord(s.PC)
 	if err != nil {
-		return s.except(ev, ExcAccessFault, s.PC)
+		s.except(ev, ExcAccessFault, s.PC)
+		return
 	}
 	inst, cached := isa.Inst{}, false
 	if s.DCache != nil {
@@ -175,7 +185,8 @@ func (s *Sim) Step() Event {
 
 	switch isa.ClassOf(inst.Op) {
 	case isa.ClassInvalid:
-		return s.except(ev, ExcIllegalInstruction, s.PC)
+		s.except(ev, ExcIllegalInstruction, s.PC)
+		return
 
 	case isa.ClassNop:
 		// Nothing.
@@ -185,12 +196,13 @@ func (s *Sim) Step() Event {
 		s.Halted = true
 		s.InstRet++
 		ev.NextPC = s.PC
-		return ev
+		return
 
 	case isa.ClassALU, isa.ClassMul:
 		res, exc := s.evalOperate(inst)
 		if exc != ExcNone {
-			return s.except(ev, exc, s.PC)
+			s.except(ev, exc, s.PC)
+			return
 		}
 		dest, _ := inst.Dest()
 		write := true
@@ -215,7 +227,8 @@ func (s *Sim) Step() Event {
 		ev.MemAddr = addr
 		val, exc, excAddr := s.load(inst, addr)
 		if exc != ExcNone {
-			return s.except(ev, exc, excAddr)
+			s.except(ev, exc, excAddr)
+			return
 		}
 		s.SetReg(inst.Ra, val)
 		ev.DestValid = true
@@ -230,7 +243,8 @@ func (s *Sim) Step() Event {
 		ev.StoreVal = val
 		ev.StoreSize = uint8(inst.MemBytes())
 		if exc, excAddr := s.store(inst, addr, val); exc != ExcNone {
-			return s.except(ev, exc, excAddr)
+			s.except(ev, exc, excAddr)
+			return
 		}
 
 	case isa.ClassBranch:
@@ -251,16 +265,14 @@ func (s *Sim) Step() Event {
 	s.PC = nextPC
 	s.InstRet++
 	ev.NextPC = nextPC
-	return ev
 }
 
-func (s *Sim) except(ev Event, kind ExceptionKind, addr uint64) Event {
+func (s *Sim) except(ev *Event, kind ExceptionKind, addr uint64) {
 	ev.Exception = kind
 	ev.ExcAddr = addr
 	ev.NextPC = ev.PC
 	s.Excepted = true
 	s.LastException = kind
-	return ev
 }
 
 func (s *Sim) operandB(inst isa.Inst) uint64 {
