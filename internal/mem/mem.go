@@ -88,14 +88,30 @@ type writeRecord struct {
 	n    uint8
 }
 
-// Memory is a sparse paged memory image. It is not safe for concurrent use;
-// each simulator owns its image. The zero value is not usable; call New.
+// Memory is a sparse paged memory image. It is not safe for concurrent use —
+// not even for concurrent reads, since every access updates the page memo —
+// so each simulator owns its image. The zero value is not usable; call New.
 type Memory struct {
 	pages map[uint64]*page
+
+	// fetch and data remember the last page hit by instruction fetch and
+	// by data access, so a run of accesses to one page skips the map.
+	// Permissions are checked on the live page. Code that deletes or
+	// replaces an entry of pages must clear both (clearMemo); Map only adds
+	// pages or edits perm in place.
+	fetch, data pageMemo
 
 	journalOn bool
 	journal   []writeRecord
 }
+
+// pageMemo is a memoized entry of Memory.pages; p == nil means empty.
+type pageMemo struct {
+	vpn uint64
+	p   *page
+}
+
+func (m *Memory) clearMemo() { m.fetch, m.data = pageMemo{}, pageMemo{} }
 
 // New returns an empty memory image.
 func New() *Memory {
@@ -141,12 +157,23 @@ func (m *Memory) lookup(addr uint64, mode Perm, size uint64) (*page, error) {
 		//restorelint:allowalloc -- fault path: allocating the error ends the access; never taken in steady state
 		return nil, &Fault{Kind: FaultAlign, Addr: addr, Write: mode == PermWrite}
 	}
-	p, ok := m.pages[addr>>PageBits]
-	if !ok || p.perm&mode != mode {
+	memo := &m.data
+	if mode == PermExec {
+		memo = &m.fetch
+	}
+	if vpn := addr >> PageBits; memo.p == nil || memo.vpn != vpn {
+		p, ok := m.pages[vpn]
+		if !ok {
+			//restorelint:allowalloc -- fault path: allocating the error ends the access; never taken in steady state
+			return nil, &Fault{Kind: FaultAccess, Addr: addr, Write: mode == PermWrite}
+		}
+		*memo = pageMemo{vpn: vpn, p: p}
+	}
+	if memo.p.perm&mode != mode {
 		//restorelint:allowalloc -- fault path: allocating the error ends the access; never taken in steady state
 		return nil, &Fault{Kind: FaultAccess, Addr: addr, Write: mode == PermWrite}
 	}
-	return p, nil
+	return memo.p, nil
 }
 
 // ReadQ reads a 64-bit word.
@@ -360,6 +387,7 @@ func (m *Memory) CopyFrom(src *Memory) {
 		p.perm = sp.perm
 		p.data = sp.data
 	}
+	m.clearMemo()
 	m.journalOn = false
 	m.journal = m.journal[:0]
 }

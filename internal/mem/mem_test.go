@@ -445,3 +445,112 @@ func TestDisableJournal(t *testing.T) {
 		t.Errorf("[0] = %d, want 2 (restore floor is the re-enable point)", v)
 	}
 }
+
+// The page memo must never outlive the page it names: these tests pin the
+// code paths that delete, replace or re-permission a memoized page.
+
+func isAccessFault(err error) bool {
+	var f *Fault
+	return errors.As(err, &f) && f.Kind == FaultAccess
+}
+
+func TestMemoCopyFromDropsMissingPage(t *testing.T) {
+	const a, b = 0x10000, 0x20000
+	m := New()
+	m.Map(a, PageSize, PermRWX)
+	m.Map(b, PageSize, PermRW)
+	if _, err := m.ReadQ(a); err != nil { // memoize a for data
+		t.Fatal(err)
+	}
+	if _, err := m.FetchWord(a); err != nil { // and for fetch
+		t.Fatal(err)
+	}
+	src := New()
+	src.Map(b, PageSize, PermRW)
+	m.CopyFrom(src)
+	if _, err := m.ReadQ(a); !isAccessFault(err) {
+		t.Errorf("data read of a page CopyFrom dropped: err = %v, want access fault", err)
+	}
+	if _, err := m.FetchWord(a); !isAccessFault(err) {
+		t.Errorf("fetch of a page CopyFrom dropped: err = %v, want access fault", err)
+	}
+	if err := m.WriteQ(a, 1); !isAccessFault(err) {
+		t.Errorf("write to a page CopyFrom dropped: err = %v, want access fault", err)
+	}
+}
+
+func TestMemoLoadStateReadsLoadedContents(t *testing.T) {
+	const a = 0x10000
+	saved := New()
+	saved.Map(a, PageSize, PermRW)
+	if err := saved.WriteQ(a, 0x1111); err != nil {
+		t.Fatal(err)
+	}
+	blob := saved.SaveState()
+
+	m := New()
+	m.Map(a, PageSize, PermRW)
+	if err := m.WriteQ(a, 0x2222); err != nil { // memoize m's own page
+		t.Fatal(err)
+	}
+	if err := m.LoadState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.ReadQ(a); err != nil || got != 0x1111 {
+		t.Errorf("ReadQ after LoadState = %#x, %v; want 0x1111", got, err)
+	}
+	if err := m.WriteQ(a, 0x3333); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := saved.ReadQ(a); got != 0x1111 {
+		t.Errorf("write after LoadState reached another image: %#x", got)
+	}
+	if got, _ := m.ReadQ(a); got != 0x3333 {
+		t.Errorf("ReadQ = %#x, want 0x3333", got)
+	}
+}
+
+func TestMemoMapLoweredPermFaults(t *testing.T) {
+	const a = 0x10000
+	m := New()
+	m.Map(a, PageSize, PermRW)
+	if err := m.WriteQ(a, 1); err != nil { // memoize a
+		t.Fatal(err)
+	}
+	m.Map(a, PageSize, PermRead)
+	if err := m.WriteQ(a, 2); !isAccessFault(err) {
+		t.Errorf("write after Map dropped PermWrite: err = %v, want access fault", err)
+	}
+	if got, err := m.ReadQ(a); err != nil || got != 1 {
+		t.Errorf("ReadQ = %#x, %v; want the pre-remap contents 1", got, err)
+	}
+}
+
+func TestMemoFetchAndDataDoNotAlias(t *testing.T) {
+	const code, data = 0x10000, 0x20000
+	m := New()
+	m.Map(code, PageSize, PermRX)
+	m.Map(data, PageSize, PermRW)
+	if err := m.WriteBytes(code, []byte{0xEF, 0xBE, 0xAD, 0xDE}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // second pass runs on warm memos
+		if w, err := m.FetchWord(code); err != nil || w != 0xDEADBEEF {
+			t.Fatalf("pass %d: FetchWord(code) = %#x, %v", i, w, err)
+		}
+		if err := m.WriteQ(data, uint64(i)); err != nil {
+			t.Fatalf("pass %d: WriteQ(data): %v", i, err)
+		}
+		// The data memo holds the RW page and the fetch memo the RX one;
+		// neither may answer for the other.
+		if _, err := m.FetchWord(data); !isAccessFault(err) {
+			t.Errorf("pass %d: fetch from RW page: err = %v, want access fault", i, err)
+		}
+		if err := m.WriteQ(code, 1); !isAccessFault(err) {
+			t.Errorf("pass %d: write to RX page: err = %v, want access fault", i, err)
+		}
+		if got, err := m.ReadL(code); err != nil || got != 0xDEADBEEF {
+			t.Errorf("pass %d: ReadL(code) = %#x, %v", i, got, err)
+		}
+	}
+}

@@ -54,6 +54,7 @@ func (m *Memory) LoadState(b []byte) error {
 		off += rec
 	}
 	m.pages = pages
+	m.clearMemo()
 	m.journal = m.journal[:0]
 	return nil
 }
