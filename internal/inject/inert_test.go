@@ -33,6 +33,11 @@ func TestCampaignMetricsInert(t *testing.T) {
 		if got := reg.Counter("campaign_uarch_points_total").Value(); got != int64(cfg.Points) {
 			t.Errorf("points_total = %d, want %d", got, cfg.Points)
 		}
+		// Every point records its own golden window plus 25% slack.
+		w := cfg.WindowCycles
+		if got, want := reg.Counter("campaign_uarch_golden_cycles_total").Value(), int64(uint64(cfg.Points)*(w+w/4)); got != want {
+			t.Errorf("golden_cycles_total = %d, want %d", got, want)
+		}
 		// The master pipeline carries the instrumentation through warm-up
 		// and golden recording, so the occupancy histograms must be live.
 		if m, ok := reg.Snapshot().Get("pipeline_rob_occupancy"); !ok || m.Count == 0 {
@@ -58,6 +63,12 @@ func TestCampaignMetricsInert(t *testing.T) {
 		assertCampaignAccounting(t, reg, "campaign_vm", len(instrumented.Trials))
 		if got := reg.Counter("campaign_vm_points_total").Value(); got != int64(cfg.Points) {
 			t.Errorf("points_total = %d, want %d", got, cfg.Points)
+		}
+		// The points share one golden log: the recorder steps about
+		// Spread + Window instructions, not a Window per point.
+		limit := int64(uint64(cfg.Points) * cfg.Window / 4)
+		if got := reg.Counter("campaign_vm_golden_insts_total").Value(); got <= 0 || got >= limit {
+			t.Errorf("golden_insts_total = %d, want in (0, %d)", got, limit)
 		}
 	})
 }

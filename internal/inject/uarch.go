@@ -10,6 +10,7 @@ import (
 	"repro/internal/ckptio"
 	"repro/internal/harden"
 	"repro/internal/isa"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/protect"
 	"repro/internal/workload"
@@ -221,6 +222,8 @@ type uarchModel struct {
 	base    uint64      // cycle the master has reached
 	trace   *goldenTrace
 	pool    *forkPool[*pipeline.Pipeline]
+
+	goldenCycles *obs.Counter // cycles recordGolden simulated
 }
 
 func newUArchModel(cfg *UArchConfig) (*uarchModel, error) {
@@ -232,7 +235,11 @@ func newUArchModel(cfg *UArchConfig) (*uarchModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &uarchModel{cfg: cfg, base: cfg.WarmupCycles}
+	m := &uarchModel{
+		cfg:          cfg,
+		base:         cfg.WarmupCycles,
+		goldenCycles: cfg.Obs.Counter("campaign_uarch_golden_cycles_total"),
+	}
 	if m.master, err = pipeline.New(cfg.pipelineConfig(), mem, prog.Entry); err != nil {
 		return nil, err
 	}
@@ -305,7 +312,7 @@ func (m *uarchModel) advance(i int) (bool, error) {
 // record runs on the dispatching goroutine; the master cannot be shared with
 // in-flight trials.
 func (m *uarchModel) record() (bool, error) {
-	trace, err := recordGolden(m.master, m.cfg.WindowCycles)
+	trace, err := recordGolden(m.master, m.cfg.WindowCycles, m.goldenCycles)
 	m.trace = trace
 	return trace != nil, err
 }
@@ -381,8 +388,8 @@ func pickBit(space *pipeline.StateSpace, rng *rand.Rand, latchesOnly bool) (pipe
 // state digests and the committed instruction stream. A (nil, nil) return
 // means the golden continuation stopped inside the observation window — the
 // program is ending — and the campaign should truncate at this point rather
-// than fail.
-func recordGolden(master *pipeline.Pipeline, window uint64) (*goldenTrace, error) {
+// than fail. Every simulated cycle counts on cycles (nil without a sink).
+func recordGolden(master *pipeline.Pipeline, window uint64, cycles *obs.Counter) (*goldenTrace, error) {
 	g := master.Clone()
 	trace := &goldenTrace{
 		commits: make([]pipeline.CommitEvent, 0, window),
@@ -407,6 +414,7 @@ func recordGolden(master *pipeline.Pipeline, window uint64) (*goldenTrace, error
 		}
 		if c < total {
 			g.Cycle()
+			cycles.Inc()
 			if g.Status() == pipeline.StatusHalted {
 				return nil, nil // program ends inside the window: truncate
 			}

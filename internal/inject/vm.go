@@ -10,6 +10,7 @@ import (
 	"repro/internal/harden"
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/workload"
 )
@@ -112,12 +113,12 @@ func (r *VMResult) Distribution(latency uint64) map[string]float64 {
 }
 
 // RunVM executes the campaign. The golden execution advances through the
-// program once; at each injection point the post-injection continuation is
-// simulated once to record a golden event trace, then each trial replays
-// the continuation with one result bit flipped, comparing event-by-event —
-// serially, or fanned out across cfg.Workers goroutines with bit-identical
-// results (every bit pick is pre-drawn on the dispatching goroutine and
-// every trial fills a pre-assigned result slot).
+// program once; a second golden simulator runs ahead of it and logs the
+// golden continuation once for the whole campaign, and each trial replays
+// its point's window of that log with one result bit flipped, comparing
+// event-by-event — serially, or fanned out across cfg.Workers goroutines
+// with bit-identical results (every bit pick is pre-drawn on the dispatching
+// goroutine and every trial fills a pre-assigned result slot).
 //
 // If the golden program halts before an injection point or inside a golden
 // observation window (a short workload at small Scale), the remaining
@@ -148,10 +149,12 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 
 // vmModel is the software-level fault model: one flipped bit in the result
 // of a register-writing instruction, replayed against the golden
-// continuation on the architectural simulator. Serially, every trial rewinds
-// the golden simulator and its write-journalled memory in place; with
-// Workers > 1 each trial runs on a pooled fork instead. Both serve real
-// campaigns and yield identical bytes.
+// continuation on the architectural simulator. Two golden simulators run:
+// the walker (sim) walks from point to point, and the recorder (rec) runs
+// ahead of it and logs the golden run once for the whole campaign. Serially,
+// every trial rewinds the walker and its write-journalled memory in place;
+// with Workers > 1 each trial runs on a pooled fork of the walker instead.
+// Both serve real campaigns and yield identical bytes.
 type vmModel struct {
 	cfg          *VMConfig
 	entry        uint64
@@ -168,17 +171,37 @@ type vmModel struct {
 	preMark mem.Mark      // memory write-journal mark just after inj
 	golden  *vmGolden
 
+	// The recorder steps a journal-free fork of the walker forward only;
+	// log[k] is the golden instruction at index logBase+k. The dispatcher
+	// appends to the log while workers read earlier windows of it, so a log
+	// is never truncated or reused, only replaced by a fresh one.
+	rec         *arch.Sim
+	log         []goldenStep
+	logBase     uint64
+	goldenInsts *obs.Counter
+
 	// memPool recycles per-trial memory images for the parallel path.
 	memPool *forkPool[*mem.Memory]
 }
 
-// vmGolden is one point's recorded golden continuation. Workers hold it
-// while the dispatcher records the next point's, so the parallel path
-// allocates one per point; the serial path reuses one.
-type vmGolden struct {
-	events []arch.Event
-	end    arch.Snapshot
+// goldenStep is what a trial compares of one golden instruction: 32 bytes,
+// against arch.Event's 104.
+type goldenStep struct {
+	pc, destVal, memAddr, storeVal uint64
 }
+
+// vmGolden is one point's golden continuation: its window of the shared log
+// and the golden registers at the window's end.
+type vmGolden struct {
+	steps []goldenStep
+	end   arch.Snapshot
+}
+
+// logSlack pads the log's planned size: a point's injection instruction lies
+// a few instructions past its planned index (at most 4 on the suite's
+// paper-scale campaigns). Outgrowing the pad costs one reallocation and
+// stays correct, since in-flight trials keep reading the old array.
+const logSlack = 1 << 10
 
 func newVMModel(cfg *VMConfig, prog *workload.Program) (*vmModel, error) {
 	memory, err := prog.NewMemory()
@@ -198,10 +221,11 @@ func newVMModel(cfg *VMConfig, prog *workload.Program) (*vmModel, error) {
 		// never reads a compiled protection map directly (see
 		// consultProtection).
 		prfProtected: cfg.Policy.ProtectionOf("prf.val") != harden.Unprotected,
+		goldenInsts:  cfg.Obs.Counter("campaign_vm_golden_insts_total"),
 		memPool:      newForkPool(cfg.Obs, "campaign_vm_mem_pool", (*mem.Memory).Clone, (*mem.Memory).CopyFrom),
 	}
 	if !cfg.noDecodeCache {
-		// Decode the code image once; the golden simulator and every
+		// Decode the code image once; the golden simulators and every
 		// per-trial fork share the cache read-only.
 		m.dcache = isa.NewDecodeCache(prog.CodeBase, prog.Code)
 	}
@@ -230,7 +254,7 @@ func (m *vmModel) plan() (int, error) {
 	return cfg.Points, nil
 }
 
-// warmUp walks the golden simulator to the warm-up boundary. Injection points
+// warmUp walks the walker to the warm-up boundary. Injection points
 // all lie at or past it, so pre-walking replays exactly the Steps advance
 // would have taken; memory-journal records written before the first point's
 // mark are never rewound, only discarded, so a run restored from an image is
@@ -238,8 +262,9 @@ func (m *vmModel) plan() (int, error) {
 func (m *vmModel) warmUp() { m.walkTo(m.cfg.Warmup) }
 
 func (m *vmModel) walkTo(inst uint64) {
+	var ev arch.Event
 	for m.sim.InstRet < inst && !m.sim.Stopped() {
-		m.sim.Step()
+		m.sim.StepInto(&ev)
 	}
 }
 
@@ -251,9 +276,9 @@ func (m *vmModel) saveImage(path string, workers int) (ckptio.Stats, error) {
 	return writeVMGolden(path, []byte(m.cfg.goldenKey()), m.sim, m.mem, workers)
 }
 
-// advance walks the golden simulator to point i, then finds the next
-// register-writing instruction and executes it; its event carries the result
-// to corrupt. A halt on the way truncates the campaign.
+// advance walks the walker to point i, then finds the next register-writing
+// instruction and executes it; its event carries the result to corrupt. A
+// halt on the way truncates the campaign.
 func (m *vmModel) advance(i int) (bool, error) {
 	m.walkTo(m.points[i])
 	sim := m.sim
@@ -263,42 +288,70 @@ func (m *vmModel) advance(i int) (bool, error) {
 	if sim.Halted {
 		return false, nil
 	}
+	ev := &m.inj
 	for {
-		ev := sim.Step()
+		sim.StepInto(ev)
 		switch {
 		case ev.Exception != arch.ExcNone:
 			return false, fmt.Errorf("inject: golden exception at %#x", ev.PC)
 		case ev.Halted:
 			return false, nil
 		case ev.DestValid && ev.Dest != isa.RegZero:
-			m.inj = ev
 			return true, nil
 		}
 	}
 }
 
-// record simulates the golden continuation once; a halt inside the window
-// truncates the campaign at this point.
+// record gives the point its golden window, [start, start+Window) where
+// start is the walker's position just after the injection, extending the
+// campaign's golden log to the window's end. The walker stays at start. A
+// halt inside the window truncates the campaign at this point; the log only
+// ever reaches the end of the current point's window, so a halt is first
+// seen by the same point as if every window were simulated on its own.
 func (m *vmModel) record() (bool, error) {
 	m.preRegs, m.preMark = m.sim.Snapshot(), m.mem.Snapshot()
-	if m.parallel || m.golden == nil {
-		m.golden = &vmGolden{events: make([]arch.Event, 0, m.cfg.Window)}
+	start := m.sim.InstRet
+	end := start + m.cfg.Window
+	if m.rec == nil || m.rec.InstRet < start {
+		m.forkRecorder()
 	}
-	g := m.golden
-	g.events = g.events[:0]
-	for i := uint64(0); i < m.cfg.Window; i++ {
-		ev := m.sim.Step()
-		if ev.Exception != arch.ExcNone {
+	from := m.rec.InstRet
+	ok, err := m.extendLog(end)
+	m.goldenInsts.Add(int64(m.rec.InstRet - from))
+	if !ok || err != nil {
+		return false, err
+	}
+	m.golden = &vmGolden{steps: m.log[start-m.logBase : end-m.logBase], end: m.rec.Snapshot()}
+	return true, nil
+}
+
+// forkRecorder starts a recorder at the walker's position — the first
+// recorded point, or one further than a window past the last — with a fresh
+// log, sized once to reach the last point's window. The old log is left to
+// the trials still reading it.
+func (m *vmModel) forkRecorder() {
+	start := m.sim.InstRet
+	m.rec = arch.New(m.mem.Clone(), m.entry)
+	m.rec.DCache = m.dcache
+	m.rec.Restore(m.preRegs)
+	last := max(m.points[len(m.points)-1], start)
+	m.log = make([]goldenStep, 0, last-start+m.cfg.Window+logSlack)
+	m.logBase = start
+}
+
+// extendLog steps the recorder up to instruction index end under the
+// walker's golden rules: an exception is an error, a halt truncates.
+func (m *vmModel) extendLog(end uint64) (bool, error) {
+	var ev arch.Event
+	for m.rec.InstRet < end {
+		m.rec.StepInto(&ev)
+		switch {
+		case ev.Exception != arch.ExcNone:
 			return false, fmt.Errorf("inject: golden exception at %#x", ev.PC)
-		}
-		if ev.Halted {
+		case ev.Halted:
 			return false, nil
 		}
-		g.events = append(g.events, ev)
-	}
-	g.end = m.sim.Snapshot()
-	if m.parallel {
-		m.rewind() // once: every trial forks from the injection point
+		m.log = append(m.log, goldenStep{pc: ev.PC, destVal: ev.DestVal, memAddr: ev.MemAddr, storeVal: ev.StoreVal})
 	}
 	return true, nil
 }
@@ -316,7 +369,7 @@ func (m *vmModel) prepare(slot int, out *VMTrial, w *engine) bool {
 		// Rewind to the injection point and corrupt the result in place.
 		m.rewind()
 		m.sim.SetReg(dest, m.sim.Reg(dest)^(1<<bit))
-		runVMTrial(m.sim, dest, g.events, g.end, out, noEarlyExit)
+		runVMTrial(m.sim, dest, g, out, noEarlyExit)
 		return true
 	}
 	// Fork an independent memory image and simulator on the dispatching
@@ -328,7 +381,7 @@ func (m *vmModel) prepare(slot int, out *VMTrial, w *engine) bool {
 	fsim.SetReg(dest, fsim.Reg(dest)^(1<<bit))
 	pool := m.memPool
 	w.submit(slot, func() {
-		runVMTrial(fsim, dest, g.events, g.end, out, noEarlyExit)
+		runVMTrial(fsim, dest, g, out, noEarlyExit)
 		pool.release(fm)
 	})
 	return false
@@ -373,12 +426,12 @@ func (l *regLedger) mark(r isa.Reg, diff bool) {
 	}
 }
 
-// runVMTrial executes the faulty continuation against the recorded golden
-// events and classifies its outcome into trial. Once the faulty machine halts
-// behind a control-flow divergence, every remaining Step is a stopped no-op
-// that can no longer change the classification, so the replay stops early
-// (unless noEarlyExit asks for the full-window proof mode).
-func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []arch.Event, goldenEnd arch.Snapshot, trial *VMTrial, noEarlyExit bool) {
+// runVMTrial executes the faulty continuation against the golden window and
+// classifies its outcome into trial. Once the faulty machine halts behind a
+// control-flow divergence, every remaining Step is a stopped no-op that can
+// no longer change the classification, so the replay stops early (unless
+// noEarlyExit asks for the full-window proof mode).
+func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden *vmGolden, trial *VMTrial, noEarlyExit bool) {
 	// Divergence ledgers: registers and memory addresses whose faulty
 	// values currently differ from golden. The injected register starts
 	// diverged.
@@ -386,10 +439,11 @@ func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []arch.Event, goldenEnd ar
 	regs.mark(injReg, true)
 	divergedMem := make(map[uint64]bool)
 	cfv := false
-	for i := range golden {
+	var ev arch.Event
+	for i := range golden.steps {
 		lat := uint64(i) + 1
-		g := golden[i]
-		ev := sim.Step()
+		g := &golden.steps[i]
+		sim.StepInto(&ev)
 
 		if ev.Exception != arch.ExcNone {
 			trial.ExcLat = lat
@@ -407,25 +461,25 @@ func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []arch.Event, goldenEnd ar
 			}
 			continue
 		}
-		if ev.PC != g.PC {
+		if ev.PC != g.pc {
 			trial.CFVLat = lat
 			cfv = true
 			continue
 		}
 		if ev.DestValid {
-			regs.mark(ev.Dest, ev.DestVal != g.DestVal)
+			regs.mark(ev.Dest, ev.DestVal != g.destVal)
 		}
 		if ev.IsLoad || ev.IsStore {
-			if ev.MemAddr != g.MemAddr {
+			if ev.MemAddr != g.memAddr {
 				if trial.MemAddrLat == Never {
 					trial.MemAddrLat = lat
 				}
 				if ev.IsStore {
 					divergedMem[ev.MemAddr] = true
-					divergedMem[g.MemAddr] = true
+					divergedMem[g.memAddr] = true
 				}
 			} else if ev.IsStore {
-				if ev.StoreVal != g.StoreVal {
+				if ev.StoreVal != g.storeVal {
 					if trial.MemDataLat == Never {
 						trial.MemDataLat = lat
 					}
@@ -455,7 +509,7 @@ func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []arch.Event, goldenEnd ar
 		// ledger should never disagree, but memory aliasing through
 		// differing addresses is approximated, so verify cheaply.
 		for r := 0; r < 31; r++ {
-			if sim.Regs[r] != goldenEnd.Regs[r] {
+			if sim.Regs[r] != golden.end.Regs[r] {
 				trial.Masked = false
 				break
 			}
