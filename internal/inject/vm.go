@@ -254,10 +254,10 @@ func (m *vmModel) plan() (int, error) {
 	return cfg.Points, nil
 }
 
-// warmUp walks the walker to the warm-up boundary. Injection points
-// all lie at or past it, so pre-walking replays exactly the Steps advance
-// would have taken; memory-journal records written before the first point's
-// mark are never rewound, only discarded, so a run restored from an image is
+// warmUp walks the walker to the warm-up boundary. Injection points all lie
+// at or past it, so pre-walking replays exactly the Steps advance would have
+// taken; memory-journal records written before the first point's mark are
+// never rewound, only discarded, so a run restored from an image is
 // byte-identical (TestVMGoldenImageEquivalence).
 func (m *vmModel) warmUp() { m.walkTo(m.cfg.Warmup) }
 
@@ -318,22 +318,22 @@ func (m *vmModel) record() (bool, error) {
 	from := m.rec.InstRet
 	ok, err := m.extendLog(end)
 	m.goldenInsts.Add(int64(m.rec.InstRet - from))
-	if !ok || err != nil {
+	if !ok {
 		return false, err
 	}
 	m.golden = &vmGolden{steps: m.log[start-m.logBase : end-m.logBase], end: m.rec.Snapshot()}
 	return true, nil
 }
 
-// forkRecorder starts a recorder at the walker's position — the first
-// recorded point, or one further than a window past the last — with a fresh
-// log, sized once to reach the last point's window. The old log is left to
-// the trials still reading it.
+// forkRecorder starts a recorder at the walker's position — at the first
+// recorded point, or at one whose start lies beyond the recorder — with a
+// fresh log, sized once to reach the last point's window. The old log is left
+// to the trials still reading it.
 func (m *vmModel) forkRecorder() {
 	start := m.sim.InstRet
 	m.rec = arch.New(m.mem.Clone(), m.entry)
 	m.rec.DCache = m.dcache
-	m.rec.Restore(m.preRegs)
+	m.rec.Restore(m.sim.Snapshot())
 	last := max(m.points[len(m.points)-1], start)
 	m.log = make([]goldenStep, 0, last-start+m.cfg.Window+logSlack)
 	m.logBase = start

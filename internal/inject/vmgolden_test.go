@@ -10,12 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
-// No workload of the suite ever halts, so the VM campaign's truncation rules
-// — a halt on the walk to a point ends the campaign before that point, a halt
-// inside a point's observation window ends it at that point — are pinned here
-// over a countdown loop that ends in halt. The expected cut comes from an
-// oracle that steps a plain arch.Sim through the program once, independently
-// of the campaign's golden bookkeeping.
+// The VM campaign's golden bookkeeping: where a halting program truncates the
+// campaign, and what the walker's write journal holds between points.
+//
+// No workload of the suite ever halts, so the truncation rules — a halt on
+// the walk to a point ends the campaign before that point, a halt inside a
+// point's observation window ends it at that point — are pinned here over a
+// countdown loop that ends in halt. The expected cut comes from an oracle
+// that steps a plain arch.Sim through the program once, independently of the
+// campaign's golden bookkeeping.
 
 // countdown assembles a loop of 5 instructions per iteration (one store, one
 // load) that halts after iters iterations.
