@@ -162,14 +162,9 @@ func (m *Memory) lookup(addr uint64, mode Perm, size uint64) (*page, error) {
 		memo = &m.fetch
 	}
 	if vpn := addr >> PageBits; memo.p == nil || memo.vpn != vpn {
-		p, ok := m.pages[vpn]
-		if !ok {
-			//restorelint:allowalloc -- fault path: allocating the error ends the access; never taken in steady state
-			return nil, &Fault{Kind: FaultAccess, Addr: addr, Write: mode == PermWrite}
-		}
-		*memo = pageMemo{vpn: vpn, p: p}
+		*memo = pageMemo{vpn: vpn, p: m.pages[vpn]} // p is nil if unmapped
 	}
-	if memo.p.perm&mode != mode {
+	if memo.p == nil || memo.p.perm&mode != mode {
 		//restorelint:allowalloc -- fault path: allocating the error ends the access; never taken in steady state
 		return nil, &Fault{Kind: FaultAccess, Addr: addr, Write: mode == PermWrite}
 	}
