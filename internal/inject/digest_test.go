@@ -198,3 +198,28 @@ func TestCampaignDigests(t *testing.T) {
 		}
 	}
 }
+
+// Campaign IDs pinned across commits. A campaign directory and its golden
+// images are named by CampaignID, so an ID that drifts orphans every
+// directory journalled before the change. TestCampaignDigests pins trials,
+// not IDs; this table pins the IDs themselves.
+func TestCampaignIDsPinned(t *testing.T) {
+	hardened := smallUArch(workload.Gzip)
+	hardened.Harden = harden.LowHangingFruit
+	policy := smallUArch(workload.Gzip)
+	policy.Policy = testPolicy()
+	vmPolicy := smallVM(workload.Gzip, false)
+	vmPolicy.Policy = testPolicy()
+	for _, tc := range []struct {
+		name, got, want string
+	}{
+		{"uarch", smallUArch(workload.Gzip).CampaignID(), "uarch-gzip-7d935e59c293a96d"},
+		{"uarch/low-hanging-fruit", hardened.CampaignID(), "uarch-gzip-13a5567b55019468"},
+		{"uarch/policy", policy.CampaignID(), "uarch-gzip-96a2babba6b2af6d"},
+		{"vm/policy", vmPolicy.CampaignID(), "vm-gzip-438a08a09a5e63c3"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: CampaignID %s, pinned %s", tc.name, tc.got, tc.want)
+		}
+	}
+}
