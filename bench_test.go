@@ -13,11 +13,11 @@ import (
 	"repro/internal/asm"
 	"repro/internal/dmr"
 	"repro/internal/experiments"
-	"repro/internal/harden"
 	"repro/internal/inject"
 	"repro/internal/isa"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
+	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/workload"
 )
@@ -102,7 +102,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exp, err := experiments.Campaign(benchOpts(), experiments.CampaignConfig{
-			Harden: harden.LowHangingFruit,
+			Policy: protect.LowHangingFruit(),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -132,7 +132,7 @@ func BenchmarkFig8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hardened, err := experiments.Campaign(opts, experiments.CampaignConfig{Harden: harden.LowHangingFruit})
+	hardened, err := experiments.Campaign(opts, experiments.CampaignConfig{Policy: protect.LowHangingFruit()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -84,10 +84,10 @@ import (
 	"repro/internal/ckptio"
 	"repro/internal/experiments"
 	"repro/internal/fit"
-	"repro/internal/harden"
 	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/perf"
+	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/staticvuln"
 	"repro/internal/stats"
@@ -116,7 +116,7 @@ type cli struct {
 
 type campaignKey struct {
 	latchesOnly bool
-	scheme      harden.Scheme
+	hardened    bool
 }
 
 func run(args []string) error {
@@ -592,15 +592,18 @@ func (c *cli) fig2(low32 bool) error {
 	return nil
 }
 
-func (c *cli) campaign(latchesOnly bool, scheme harden.Scheme) (*experiments.UArchExperiment, error) {
-	key := campaignKey{latchesOnly: latchesOnly, scheme: scheme}
+// campaign runs (or reuses) a microarchitectural campaign; hardened
+// protects the pipeline with the paper's placement (Figure 6).
+func (c *cli) campaign(latchesOnly, hardened bool) (*experiments.UArchExperiment, error) {
+	key := campaignKey{latchesOnly: latchesOnly, hardened: hardened}
 	if exp, ok := c.campaignCache[key]; ok {
 		return exp, nil
 	}
-	exp, err := experiments.Campaign(c.opts, experiments.CampaignConfig{
-		LatchesOnly: latchesOnly,
-		Harden:      scheme,
-	})
+	cc := experiments.CampaignConfig{LatchesOnly: latchesOnly}
+	if hardened {
+		cc.Policy = protect.LowHangingFruit()
+	}
+	exp, err := experiments.Campaign(c.opts, cc)
 	if err != nil {
 		return nil, err
 	}
@@ -612,7 +615,7 @@ func (c *cli) campaign(latchesOnly bool, scheme harden.Scheme) (*experiments.UAr
 }
 
 func (c *cli) fig4(latchesOnly bool) error {
-	exp, err := c.campaign(latchesOnly, harden.None)
+	exp, err := c.campaign(latchesOnly, false)
 	if err != nil {
 		return err
 	}
@@ -626,7 +629,7 @@ func (c *cli) fig4(latchesOnly bool) error {
 }
 
 func (c *cli) fig5(det inject.Detector, title string) error {
-	exp, err := c.campaign(false, harden.None)
+	exp, err := c.campaign(false, false)
 	if err != nil {
 		return err
 	}
@@ -636,13 +639,17 @@ func (c *cli) fig5(det inject.Detector, title string) error {
 }
 
 func (c *cli) fig6() error {
-	exp, err := c.campaign(false, harden.LowHangingFruit)
+	exp, err := c.campaign(false, true)
 	if err != nil {
 		return err
 	}
 	c.emit(exp.Table("Figure 6: ReStore coverage in the hardened (parity/ECC) pipeline", inject.DetectorJRS))
 	c.coverageFooter(exp, inject.DetectorJRS)
-	for bench, r := range exp.PerBench {
+	for _, bench := range c.benchList() {
+		r, ok := exp.PerBench[bench]
+		if !ok {
+			continue
+		}
 		fmt.Printf("%s: protection covers %.1f%% of state bits, overhead %.1f%%\n",
 			bench, 100*r.HardenStats.CoveredFraction(), 100*r.HardenStats.OverheadFraction())
 		break // geometry is identical across benchmarks
@@ -685,11 +692,11 @@ func (c *cli) fig7() error {
 }
 
 func (c *cli) fig8() error {
-	plain, err := c.campaign(false, harden.None)
+	plain, err := c.campaign(false, false)
 	if err != nil {
 		return err
 	}
-	hardened, err := c.campaign(false, harden.LowHangingFruit)
+	hardened, err := c.campaign(false, true)
 	if err != nil {
 		return err
 	}
@@ -705,11 +712,11 @@ func (c *cli) fig8() error {
 }
 
 func (c *cli) summary() error {
-	plain, err := c.campaign(false, harden.None)
+	plain, err := c.campaign(false, false)
 	if err != nil {
 		return err
 	}
-	hardened, err := c.campaign(false, harden.LowHangingFruit)
+	hardened, err := c.campaign(false, true)
 	if err != nil {
 		return err
 	}
@@ -731,7 +738,7 @@ func (c *cli) summary() error {
 // pipeline for maximal coverage; ReStore trades some coverage for near-zero
 // cost).
 func (c *cli) compare() error {
-	exp, err := c.campaign(false, harden.None)
+	exp, err := c.campaign(false, false)
 	if err != nil {
 		return err
 	}
@@ -782,7 +789,7 @@ func (c *cli) ablateJRS() error {
 }
 
 func (c *cli) ablateCheckpoints() error {
-	exp, err := c.campaign(false, harden.None)
+	exp, err := c.campaign(false, false)
 	if err != nil {
 		return err
 	}
@@ -798,7 +805,7 @@ func (c *cli) ablateCheckpoints() error {
 }
 
 func (c *cli) vulnerability() error {
-	exp, err := c.campaign(false, harden.None)
+	exp, err := c.campaign(false, false)
 	if err != nil {
 		return err
 	}

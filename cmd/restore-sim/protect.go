@@ -18,8 +18,10 @@ var defaultSweepBudgets = []uint64{0, 416, 832, 1664, 3328, 6656}
 // protectPolicies derives a budgeted protection policy per benchmark from
 // the static vulnerability analysis and prints each as canonical JSON with
 // its predicted coverage. No fault injection runs: this is the fast, static
-// side of the loop, suitable for CI smoke and for exporting policies to
-// feed back into hardened campaigns.
+// side of the loop, suitable for CI smoke and for inspecting what the
+// optimizer chose. The printed JSON is output only: no subcommand reads it
+// back. `restore-sim protect-compare` derives the same policies in process
+// and measures them against injection campaigns.
 func (c *cli) protectPolicies() error {
 	fmt.Println("static-derived protection policies (no injection)")
 	fmt.Printf("seed %d, scale %g, budget %s\n\n", c.opts.Seed, c.opts.Scale, budgetLabel(c.budget))

@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"repro/internal/fit"
-	"repro/internal/harden"
 	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/perf"
@@ -185,9 +184,8 @@ type UArchExperiment struct {
 // CampaignConfig selects the microarchitectural campaign variant.
 type CampaignConfig struct {
 	LatchesOnly bool
-	Harden      harden.Scheme
-	// Policy, if non-nil, overrides Harden with an explicit protection
-	// policy (internal/protect); see inject.UArchConfig.Policy.
+	// Policy, if non-nil, protects the pipeline: protect.LowHangingFruit()
+	// is Figure 6's hardened pipeline. See inject.UArchConfig.Policy.
 	Policy *protect.Policy
 }
 
@@ -196,7 +194,7 @@ func Campaign(opts Options, cc CampaignConfig) (*UArchExperiment, error) {
 	opts.applyDefaults()
 	exp := &UArchExperiment{
 		LatchesOnly: cc.LatchesOnly,
-		Hardened:    cc.Harden != harden.None || cc.Policy != nil,
+		Hardened:    cc.Policy != nil,
 		PerBench:    make(map[workload.Benchmark]*inject.UArchResult, len(opts.Benchmarks)),
 	}
 	for _, bench := range opts.Benchmarks {
@@ -220,7 +218,6 @@ func runCampaign(opts Options, bench workload.Benchmark, cc CampaignConfig) (*in
 		TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
 		WindowCycles:   10_000,
 		LatchesOnly:    cc.LatchesOnly,
-		Harden:         cc.Harden,
 		Policy:         cc.Policy,
 		Pipeline:       opts.Pipeline,
 	}

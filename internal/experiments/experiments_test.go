@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/fit"
-	"repro/internal/harden"
 	"repro/internal/inject"
 	"repro/internal/perf"
+	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/workload"
 )
@@ -84,7 +84,7 @@ func TestHardenedCampaignAndSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Campaign(opts, CampaignConfig{Harden: harden.LowHangingFruit})
+	hard, err := Campaign(opts, CampaignConfig{Policy: protect.LowHangingFruit()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/harden"
 	"repro/internal/inject"
 	"repro/internal/protect"
 	"repro/internal/workload"
@@ -29,7 +28,7 @@ func MeasuredCoverage(trials []inject.UArchTrial, pol *protect.Policy) float64 {
 			continue
 		}
 		failing++
-		if pol.ProtectionOf(t.Elem) != harden.Unprotected {
+		if pol.ProtectionOf(t.Elem) != protect.Unprotected {
 			absorbed++
 		}
 	}
@@ -173,7 +172,7 @@ func BudgetSweep(opts Options, budgets []uint64) (*BudgetSweepResult, error) {
 					continue
 				}
 				failing++
-				if pol.ProtectionOf(t.Elem) != harden.Unprotected {
+				if pol.ProtectionOf(t.Elem) != protect.Unprotected {
 					absorbed++
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/harden"
 	"repro/internal/inject"
 	"repro/internal/protect"
 	"repro/internal/workload"
@@ -12,7 +11,7 @@ import (
 
 func TestMeasuredCoverage(t *testing.T) {
 	pol := &protect.Policy{Name: "x", Kind: protect.KindStaticBudget,
-		Assign: []protect.Assignment{{Elem: "fetchPC", Prot: harden.Parity}}}
+		Assign: []protect.Assignment{{Elem: "fetchPC", Prot: protect.Parity}}}
 	quiet := func(tr inject.UArchTrial) inject.UArchTrial {
 		if tr.DeadlockLat == 0 {
 			tr.DeadlockLat = inject.Never

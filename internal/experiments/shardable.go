@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/harden"
+	"repro/internal/protect"
 )
 
 // The shardable experiments are the raw injection campaigns: their trial
@@ -27,7 +27,7 @@ var shardableRuns = []struct {
 		return err
 	}},
 	{"fig6", func(o Options) error {
-		_, err := Campaign(o, CampaignConfig{Harden: harden.LowHangingFruit})
+		_, err := Campaign(o, CampaignConfig{Policy: protect.LowHangingFruit()})
 		return err
 	}},
 }

@@ -3,7 +3,7 @@ package inject
 import (
 	"testing"
 
-	"repro/internal/harden"
+	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -161,7 +161,7 @@ func TestUArchHardenedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallUArch(workload.Vortex)
-	cfg.Harden = harden.LowHangingFruit
+	cfg.Policy = protect.LowHangingFruit()
 	hard, err := RunUArch(cfg)
 	if err != nil {
 		t.Fatal(err)

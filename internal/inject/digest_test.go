@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/campaignio"
-	"repro/internal/harden"
 	"repro/internal/pipeline"
+	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -118,7 +118,7 @@ func TestCampaignDigests(t *testing.T) {
 			t.Run("vm/"+string(bench), vm("vm/"+string(bench), func(c *VMConfig) { *c = smallVM(bench, false) }))
 		}
 		t.Run("uarch/gzip/latches-only", uarch("uarch/gzip/latches-only", func(c *UArchConfig) { c.LatchesOnly = true }))
-		t.Run("uarch/gzip/harden-lhf", uarch("uarch/gzip/harden-lhf", func(c *UArchConfig) { c.Harden = harden.LowHangingFruit }))
+		t.Run("uarch/gzip/harden-lhf", uarch("uarch/gzip/harden-lhf", func(c *UArchConfig) { c.Policy = protect.LowHangingFruit() }))
 		t.Run("uarch/gzip/policy", uarch("uarch/gzip/policy", func(c *UArchConfig) { c.Policy = testPolicy() }))
 		t.Run("uarch/gzip/burst2", uarch("uarch/gzip/burst2", func(c *UArchConfig) { c.BurstBits = 2 }))
 		t.Run("uarch/gzip/workers4", uarch("uarch/gzip/workers4", func(c *UArchConfig) { c.Workers = 4 }))
@@ -205,7 +205,7 @@ func TestCampaignDigests(t *testing.T) {
 // not IDs; this table pins the IDs themselves.
 func TestCampaignIDsPinned(t *testing.T) {
 	hardened := smallUArch(workload.Gzip)
-	hardened.Harden = harden.LowHangingFruit
+	hardened.Policy = protect.LowHangingFruit()
 	policy := smallUArch(workload.Gzip)
 	policy.Policy = testPolicy()
 	vmPolicy := smallVM(workload.Gzip, false)

@@ -28,8 +28,8 @@ import (
 	"sync"
 
 	"repro/internal/campaignio"
-	"repro/internal/harden"
 	"repro/internal/obs"
+	"repro/internal/protect"
 )
 
 // ErrInterrupted is returned by RunUArch/RunVM when the configured Interrupt
@@ -52,16 +52,24 @@ func fingerprint(canonical string) string {
 }
 
 func (c UArchConfig) planString() string {
-	s := fmt.Sprintf("uarch|bench=%s|seed=%d|scale=%g|points=%d|tpp=%d|warmup=%d|spread=%d|window=%d|latches=%t|burst=%d|harden=%d|pipe=%+v",
+	// The paper's placement plans as harden=1 with no policy suffix, the
+	// spelling it had when it was a protection scheme of its own rather
+	// than a policy; every other policy plans as harden=0 plus its
+	// fingerprint, and no policy as harden=0 alone. Keeping that spelling
+	// keeps the campaign IDs that name existing fig6 campaign directories
+	// and golden images, and the config hash inside their merged manifests.
+	harden, suffix := 0, ""
+	if c.Policy != nil {
+		if fp := c.Policy.Fingerprint(); fp == protect.LowHangingFruit().Fingerprint() {
+			harden = 1
+		} else {
+			suffix = "|policy=" + fp
+		}
+	}
+	return fmt.Sprintf("uarch|bench=%s|seed=%d|scale=%g|points=%d|tpp=%d|warmup=%d|spread=%d|window=%d|latches=%t|burst=%d|harden=%d|pipe=%+v",
 		c.Bench, c.Seed, c.Scale, c.Points, c.TrialsPerPoint,
 		c.WarmupCycles, c.SpreadCycles, c.WindowCycles,
-		c.LatchesOnly, c.BurstBits, c.Harden, c.pipelineConfig())
-	// The policy suffix appears only when a policy is set, so campaign
-	// directories journalled before policies existed stay resumable.
-	if c.Policy != nil {
-		s += "|policy=" + c.Policy.Fingerprint()
-	}
-	return s
+		c.LatchesOnly, c.BurstBits, harden, c.pipelineConfig()) + suffix
 }
 
 func (c VMConfig) planString() string {
@@ -83,7 +91,7 @@ type uarchAux struct {
 	HardenStats hardenStatsJSON `json:"harden_stats"`
 }
 
-// hardenStatsJSON mirrors harden.Stats with stable JSON names (the two
+// hardenStatsJSON mirrors protect.Stats with stable JSON names (the two
 // convert into each other directly).
 type hardenStatsJSON struct {
 	TotalBits    uint64 `json:"total_bits"`
@@ -272,7 +280,7 @@ func MergeUArch(cfg UArchConfig, dirs []string) (*UArchResult, error) {
 		Trials:      trials,
 		TotalBits:   aux.TotalBits,
 		LatchBits:   aux.LatchBits,
-		HardenStats: harden.Stats(aux.HardenStats),
+		HardenStats: protect.Stats(aux.HardenStats),
 	}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/harden"
 	"repro/internal/protect"
 )
 
@@ -15,9 +14,9 @@ func testPolicy() *protect.Policy {
 	return &protect.Policy{
 		Name: "test-policy", Kind: protect.KindStaticBudget, BudgetBits: 1300,
 		Assign: []protect.Assignment{
-			{Elem: "fetchPC", Prot: harden.Parity},
-			{Elem: "prf.val", Prot: harden.ECC},
-			{Elem: "rob.flags", Prot: harden.Parity},
+			{Elem: "fetchPC", Prot: protect.Parity},
+			{Elem: "prf.val", Prot: protect.ECC},
+			{Elem: "rob.flags", Prot: protect.Parity},
 		},
 	}
 }
@@ -85,7 +84,7 @@ func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 		if b.PointCycle != s.PointCycle || b.Elem != s.Elem || b.Bit != s.Bit {
 			t.Fatalf("trial %d picks diverged under policy:\n  baseline %+v\n  policy   %+v", i, b, s)
 		}
-		wantProt := pol.ProtectionOf(s.Elem) != harden.Unprotected
+		wantProt := pol.ProtectionOf(s.Elem) != protect.Unprotected
 		if s.Protected != wantProt {
 			t.Errorf("trial %d (%s): Protected=%v, policy covers=%v", i, s.Elem, s.Protected, wantProt)
 		}
@@ -163,7 +162,7 @@ func TestVMPolicyAbsorbsRegisterFaults(t *testing.T) {
 	// A policy that leaves the register file unprotected reproduces the
 	// baseline exactly.
 	latchOnly := &protect.Policy{Name: "latch-only", Kind: protect.KindStaticBudget,
-		Assign: []protect.Assignment{{Elem: "fetchPC", Prot: harden.Parity}}}
+		Assign: []protect.Assignment{{Elem: "fetchPC", Prot: protect.Parity}}}
 	cfg = resumeVM("gzip")
 	cfg.Policy = latchOnly
 	same, err := RunVM(cfg)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ckptio"
-	"repro/internal/harden"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -21,7 +20,7 @@ import (
 // Centralising the read keeps the fault-model semantics in one place: a flip
 // landing in a parity domain is detected on read and recovered by flush, one
 // landing in an ECC domain is corrected — either way it cannot fail.
-func consultProtection(m *harden.Map, elem int) harden.Protection {
+func consultProtection(m *protect.Map, elem int) protect.Protection {
 	return m.Protection(elem)
 }
 
@@ -59,16 +58,14 @@ type UArchConfig struct {
 	// common as cells shrink.
 	BurstBits int
 
-	// Harden applies a protection scheme; flips landing in protected
-	// elements are corrected/flushed and cannot fail (Figure 6).
-	Harden harden.Scheme
-
-	// Policy, if non-nil, overrides Harden with an explicit protection
-	// policy (internal/protect) — e.g. one derived by the budgeted
-	// optimizer from static vulnerability analysis. Protection is consulted
-	// only after each pre-drawn bit pick, so campaigns at the same seed
-	// visit identical picks under every policy; its fingerprint enters the
-	// durable-campaign plan string.
+	// Policy, if non-nil, protects state elements with parity or ECC;
+	// flips landing in protected elements are corrected/flushed and cannot
+	// fail. protect.LowHangingFruit() is the paper's hardened pipeline
+	// (Figure 6); a policy derived by the budgeted optimizer from static
+	// vulnerability analysis is another. Protection is consulted only after
+	// each pre-drawn bit pick, so campaigns at the same seed visit identical
+	// picks under every policy; the policy enters the durable-campaign plan
+	// string (see planString).
 	Policy *protect.Policy
 
 	// Pipeline optionally overrides the processor configuration.
@@ -130,7 +127,7 @@ type UArchResult struct {
 	Trials      []UArchTrial
 	TotalBits   uint64
 	LatchBits   uint64
-	HardenStats harden.Stats
+	HardenStats protect.Stats
 }
 
 // Distribution bins the trials at a checkpoint interval under a detector.
@@ -192,7 +189,7 @@ func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 		Config:      cfg,
 		TotalBits:   m.space.TotalBits(false),
 		LatchBits:   m.space.TotalBits(true),
-		HardenStats: harden.Survey(m.space, m.protMap),
+		HardenStats: protect.Survey(m.space, m.protMap),
 	}
 	spec := cfg.spec()
 	spec.aux, err = json.Marshal(uarchAux{
@@ -216,7 +213,7 @@ type uarchModel struct {
 	cfg     *UArchConfig
 	master  *pipeline.Pipeline
 	space   *pipeline.StateSpace
-	protMap *harden.Map
+	protMap *protect.Map
 	offsets []uint64    // injection points, cycles past warm-up, ascending
 	picks   []uarchPick // per slot
 	base    uint64      // cycle the master has reached
@@ -253,11 +250,7 @@ func newUArchModel(cfg *UArchConfig) (*uarchModel, error) {
 	// attachment (Clone/ResetFrom drop it).
 	m.master.AttachObs(cfg.Obs, "pipeline")
 	m.space = m.master.State()
-	assign := harden.SchemeAssignments(cfg.Harden)
-	if cfg.Policy != nil {
-		assign = cfg.Policy.Assignments()
-	}
-	if m.protMap, err = harden.NewMapExact(m.space, assign); err != nil {
+	if m.protMap, err = cfg.Policy.Compile(m.space); err != nil {
 		return nil, err
 	}
 	m.pool = newForkPool(cfg.Obs, "campaign_uarch_clone_pool", (*pipeline.Pipeline).Clone, (*pipeline.Pipeline).ResetFrom)
@@ -331,7 +324,7 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 		AnyMispLat:  Never,
 		DivergeLat:  Never,
 	}
-	if consultProtection(m.protMap, pick.ref.Elem) != harden.Unprotected {
+	if consultProtection(m.protMap, pick.ref.Elem) != protect.Unprotected {
 		// Parity detects the flip on read (recovered by flush); ECC
 		// corrects it. Either way it cannot cause failure.
 		out.Protected = true

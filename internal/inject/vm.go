@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ckptio"
-	"repro/internal/harden"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -220,7 +219,7 @@ func newVMModel(cfg *VMConfig, prog *workload.Program) (*vmModel, error) {
 		// site. Evaluated once, against the policy itself — campaign code
 		// never reads a compiled protection map directly (see
 		// consultProtection).
-		prfProtected: cfg.Policy.ProtectionOf("prf.val") != harden.Unprotected,
+		prfProtected: cfg.Policy.ProtectionOf("prf.val") != protect.Unprotected,
 		goldenInsts:  cfg.Obs.Counter("campaign_vm_golden_insts_total"),
 		memPool:      newForkPool(cfg.Obs, "campaign_vm_mem_pool", (*mem.Memory).Clone, (*mem.Memory).CopyFrom),
 	}

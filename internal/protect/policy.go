@@ -1,13 +1,20 @@
-// Package protect unifies the repository's two halves of selective
-// hardening behind one abstraction: a protection Policy names the state
-// elements to cover and the domain (parity or ECC) each receives, whether
-// the placement was hand-picked (the paper's Section 5.2.2 "low-hanging
-// fruit") or derived by the budgeted optimizer in rank.go from the static
-// bit-level vulnerability analysis (internal/staticvuln) — the BEC-style
-// loop: statically rank bits by proven vulnerability, spend the check-bit
+// Package protect models parity/ECC protection of pipeline state and the
+// policies that place it. It is the only package that knows protection
+// domains.
+//
+// A protection Policy names the state elements to cover and the domain each
+// receives: ECC corrects a flip in place, parity detects it on read and
+// recovers by a pipeline flush, and in both cases the fault cannot cause
+// failure, which is exactly how the paper's hardened-pipeline campaign
+// (Figure 6) treats them. A placement is either hand-picked — the paper's
+// Section 5.2.2 "low-hanging fruit" (LowHangingFruit: parity on the control
+// word latches, ECC on the register file and the other key data stores) —
+// or derived by the budgeted optimizer in rank.go from the static bit-level
+// vulnerability analysis (internal/staticvuln): the BEC-style loop that
+// statically ranks bits by proven vulnerability and spends the check-bit
 // budget only where it pays.
 //
-// A Policy compiles onto a pipeline's StateSpace as a harden.Map, which the
+// A Policy compiles onto a pipeline's StateSpace as a Map, which the
 // dynamic injection campaigns consult; it serializes to deterministic JSON
 // for the `restore-sim protect` subcommand; and it fingerprints into the
 // durable-campaign plan string, so policy-on campaigns keep the engines'
@@ -20,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/harden"
 	"repro/internal/pipeline"
 )
 
@@ -52,23 +58,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// ParseKind inverts String.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "none", "":
-		return KindNone, nil
-	case "hand-picked":
-		return KindHandPicked, nil
-	case "static-budget":
-		return KindStaticBudget, nil
-	}
-	return KindNone, fmt.Errorf("protect: unknown policy kind %q", s)
-}
-
 // Assignment covers one named state element with one protection domain.
 type Assignment struct {
 	Elem string
-	Prot harden.Protection
+	Prot Protection
 }
 
 // Policy is a named protection placement over the pipeline's state space.
@@ -91,83 +84,99 @@ func None() *Policy {
 	return &Policy{Name: "none", Kind: KindNone}
 }
 
-// LowHangingFruit returns the paper's hand-picked placement as a policy.
+// LowHangingFruit returns the paper's Section 5.2.2 placement: ECC on the
+// SRAM arrays whose data lives long enough to protect cheaply (register
+// file, both alias tables, free list), parity on the in-pipeline control
+// word latches (decoded instructions in the ROB and scheduler and the raw
+// words in the fetch queue). The names are the exact registered StateSpace
+// element names, listed in sorted order.
 func LowHangingFruit() *Policy {
-	return fromAssignments("low-hanging-fruit", harden.LowHangingFruitAssignments())
-}
-
-// FromScheme lifts a legacy harden.Scheme into a policy.
-func FromScheme(s harden.Scheme) *Policy {
-	if s == harden.None {
-		return None()
-	}
-	return LowHangingFruit()
-}
-
-func fromAssignments(name string, a harden.Assignments) *Policy {
-	p := &Policy{Name: name, Kind: KindHandPicked}
-	for elem, prot := range a {
-		p.Assign = append(p.Assign, Assignment{Elem: elem, Prot: prot})
-	}
-	p.normalize()
-	return p
-}
-
-// normalize sorts the assignment list by element name; every constructor
-// and decoder calls it so serialization and fingerprints are deterministic.
-func (p *Policy) normalize() {
-	sort.Slice(p.Assign, func(i, j int) bool { return p.Assign[i].Elem < p.Assign[j].Elem })
-}
-
-// Assignments converts the policy to the exact-name assignment map
-// harden.NewMapExact compiles.
-func (p *Policy) Assignments() harden.Assignments {
-	if p == nil || len(p.Assign) == 0 {
-		return nil
-	}
-	out := make(harden.Assignments, len(p.Assign))
-	for _, a := range p.Assign {
-		out[a.Elem] = a.Prot
-	}
-	return out
+	return &Policy{Name: "low-hanging-fruit", Kind: KindHandPicked, Assign: []Assignment{
+		{Elem: "archRAT", Prot: ECC},
+		{Elem: "fq.pc", Prot: Parity},
+		{Elem: "fq.word", Prot: Parity},
+		{Elem: "freelist", Prot: ECC},
+		{Elem: "prf.ready", Prot: ECC},
+		{Elem: "prf.val", Prot: ECC},
+		{Elem: "rob.ctl", Prot: Parity},
+		{Elem: "sched.flags", Prot: Parity},
+		{Elem: "sched.robIdx", Prot: Parity},
+		{Elem: "sched.src1", Prot: Parity},
+		{Elem: "sched.src2", Prot: Parity},
+		{Elem: "sched.src3", Prot: Parity},
+		{Elem: "specRAT", Prot: ECC},
+	}}
 }
 
 // ProtectionOf returns the domain the policy assigns to a named element
 // (Unprotected when the policy does not cover it).
-func (p *Policy) ProtectionOf(elem string) harden.Protection {
+func (p *Policy) ProtectionOf(elem string) Protection {
 	if p == nil {
-		return harden.Unprotected
+		return Unprotected
 	}
 	for _, a := range p.Assign {
 		if a.Elem == elem {
 			return a.Prot
 		}
 	}
-	return harden.Unprotected
+	return Unprotected
 }
 
-// Compile builds the protection map of this policy over a state space. An
-// assignment naming an element the space does not register is an error
-// (exact matching, no silent skips — see harden.NewMapExact).
-func (p *Policy) Compile(space *pipeline.StateSpace) (*harden.Map, error) {
+// Compile builds the protection map of this policy over a state space; a
+// nil policy protects nothing. Matching is exact against the registered
+// element names: every element whose name equals an assignment's receives
+// that domain. An assignment naming an element the space does not register
+// is an error — a policy naming a stale or misspelled element must fail
+// loudly, not silently protect nothing — and so is an element named twice,
+// which would read one way here and another through ProtectionOf.
+func (p *Policy) Compile(space *pipeline.StateSpace) (*Map, error) {
+	elems := space.Elements()
+	m := &Map{prot: make([]Protection, len(elems))}
 	if p == nil {
-		return harden.NewMapExact(space, nil)
+		return m, nil
 	}
-	m, err := harden.NewMapExact(space, p.Assignments())
-	if err != nil {
-		return nil, fmt.Errorf("protect: policy %q: %w", p.Name, err)
+	assign := make(map[string]Protection, len(p.Assign))
+	var twice []string
+	for _, a := range p.Assign {
+		if _, ok := assign[a.Elem]; ok {
+			twice = append(twice, a.Elem)
+		}
+		assign[a.Elem] = a.Prot
+	}
+	if len(twice) > 0 {
+		sort.Strings(twice)
+		return nil, fmt.Errorf("protect: policy %q names element(s) more than once: %s",
+			p.Name, strings.Join(twice, ", "))
+	}
+	resolved := make(map[string]bool, len(assign))
+	for i := range elems {
+		if prot, ok := assign[elems[i].Name]; ok {
+			m.prot[i] = prot
+			resolved[elems[i].Name] = true
+		}
+	}
+	if len(resolved) != len(assign) {
+		var missing []string
+		for name := range assign {
+			if !resolved[name] {
+				missing = append(missing, name)
+			}
+		}
+		sort.Strings(missing)
+		return nil, fmt.Errorf("protect: policy %q names unregistered element(s): %s",
+			p.Name, strings.Join(missing, ", "))
 	}
 	return m, nil
 }
 
 // Survey compiles the policy and reports its coverage and check-bit
 // overhead over a state space.
-func (p *Policy) Survey(space *pipeline.StateSpace) (harden.Stats, error) {
+func (p *Policy) Survey(space *pipeline.StateSpace) (Stats, error) {
 	m, err := p.Compile(space)
 	if err != nil {
-		return harden.Stats{}, err
+		return Stats{}, err
 	}
-	return harden.Survey(space, m), nil
+	return Survey(space, m), nil
 }
 
 // Fingerprint is the policy's canonical plan string: every field that
@@ -229,34 +238,4 @@ func (p *Policy) MarshalJSON() ([]byte, error) {
 		out.Assign = append(out.Assign, assignJSON{Elem: a.Elem, Prot: a.Prot.String()})
 	}
 	return json.Marshal(out)
-}
-
-// UnmarshalJSON decodes a serialized policy, re-normalizing the assignment
-// order and rejecting unknown kinds or protection domains.
-func (p *Policy) UnmarshalJSON(data []byte) error {
-	var in policyJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	kind, err := ParseKind(in.Kind)
-	if err != nil {
-		return err
-	}
-	assign := make([]Assignment, 0, len(in.Assign))
-	for _, a := range in.Assign {
-		prot, err := harden.ParseProtection(a.Prot)
-		if err != nil {
-			return err
-		}
-		assign = append(assign, Assignment{Elem: a.Elem, Prot: prot})
-	}
-	*p = Policy{
-		Name:       in.Name,
-		Kind:       kind,
-		BudgetBits: in.BudgetBits,
-		Predicted:  in.Predicted,
-		Assign:     assign,
-	}
-	p.normalize()
-	return nil
 }

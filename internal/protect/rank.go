@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/harden"
 	"repro/internal/pipeline"
 	"repro/internal/staticvuln"
 	"repro/internal/workload"
@@ -238,7 +237,7 @@ func Potency(rep *staticvuln.Report) float64 {
 type ElemRank struct {
 	Name     string
 	Kind     pipeline.Kind
-	Prot     harden.Protection // domain the kind rule assigns if selected
+	Prot     Protection // domain the kind rule assigns if selected
 	Words    uint64
 	Bits     uint64 // total data bits across all words
 	CostBits uint64 // check bits protecting every word would cost
@@ -283,9 +282,9 @@ func Rank(space *pipeline.StateSpace, rep *staticvuln.Report, prof Profile) (*Ra
 	rk := &Ranking{Program: rep.Program}
 	for _, name := range order {
 		g := groups[name]
-		prot := harden.Parity
+		prot := Parity
 		if g.kind == pipeline.KindSRAM {
-			prot = harden.ECC
+			prot = ECC
 		}
 		var density float64
 		if name == "prf.val" {
@@ -306,7 +305,7 @@ func Rank(space *pipeline.StateSpace, rep *staticvuln.Report, prof Profile) (*Ra
 			Prot:     prot,
 			Words:    g.words,
 			Bits:     g.bits,
-			CostBits: g.words * harden.ProtectionCost(prot, g.wordWidth),
+			CostBits: g.words * ProtectionCost(prot, g.wordWidth),
 			Density:  density,
 			Mass:     density * float64(g.bits),
 		}
@@ -338,7 +337,7 @@ func Optimize(name string, rk *Ranking, budgetBits uint64) *Policy {
 		remaining -= er.CostBits
 		p.Assign = append(p.Assign, Assignment{Elem: er.Name, Prot: er.Prot})
 	}
-	p.normalize()
+	sort.Slice(p.Assign, func(i, j int) bool { return p.Assign[i].Elem < p.Assign[j].Elem })
 	p.Predicted = PredictCoverage(rk, p)
 	return p
 }
@@ -348,8 +347,8 @@ func Optimize(name string, rk *Ranking, budgetBits uint64) *Policy {
 func (rk *Ranking) CostOf(p *Policy) uint64 {
 	var spent uint64
 	for _, er := range rk.Elems {
-		if prot := p.ProtectionOf(er.Name); prot != harden.Unprotected {
-			spent += er.Words * harden.ProtectionCost(prot, er.Bits/er.Words)
+		if prot := p.ProtectionOf(er.Name); prot != Unprotected {
+			spent += er.Words * ProtectionCost(prot, er.Bits/er.Words)
 		}
 	}
 	return spent
@@ -364,7 +363,7 @@ func PredictCoverage(rk *Ranking, p *Policy) float64 {
 	}
 	var covered float64
 	for _, er := range rk.Elems {
-		if p.ProtectionOf(er.Name) != harden.Unprotected {
+		if p.ProtectionOf(er.Name) != Unprotected {
 			covered += er.Mass
 		}
 	}

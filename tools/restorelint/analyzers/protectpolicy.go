@@ -12,7 +12,7 @@ import (
 
 // ProtectPolicy guards the protection-policy abstraction two ways.
 //
-// First, switches over harden.Protection or protect.Kind must be exhaustive
+// First, switches over protect.Protection or protect.Kind must be exhaustive
 // or carry an explicit default — adding a protection domain (say, DMR) or a
 // policy kind must not silently fall through cost models, serializers, or
 // classifiers.
@@ -38,11 +38,8 @@ func protEnum(t types.Type) (qualified string, obj *types.TypeName, ok bool) {
 	if o.Pkg() == nil {
 		return "", nil, false
 	}
-	switch {
-	case o.Name() == "Protection" && o.Pkg().Name() == "harden":
-		return "harden.Protection", o, true
-	case o.Name() == "Kind" && o.Pkg().Name() == "protect":
-		return "protect.Kind", o, true
+	if o.Pkg().Name() == "protect" && (o.Name() == "Protection" || o.Name() == "Kind") {
+		return "protect." + o.Name(), o, true
 	}
 	return "", nil, false
 }
@@ -118,15 +115,15 @@ func checkProtSwitch(pass *lint.Pass, sw *ast.SwitchStmt) {
 		qual, strings.Join(missing, ", "))
 }
 
-// checkMapConsult flags Protected/Protection method calls on a harden.Map
-// receiver outside the harden package itself and outside a function named
+// checkMapConsult flags Protection method calls on a protect.Map receiver
+// outside the protect package itself and outside a function named
 // consultProtection.
 func checkMapConsult(pass *lint.Pass, call *ast.CallExpr) {
-	if pass.Pkg.Types != nil && pass.Pkg.Types.Name() == "harden" {
+	if pass.Pkg.Types != nil && pass.Pkg.Types.Name() == "protect" {
 		return // the map's own package may read it freely
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Protected" && sel.Sel.Name != "Protection") {
+	if !ok || sel.Sel.Name != "Protection" {
 		return
 	}
 	recv, ok := pass.Pkg.Info.Types[sel.X]
@@ -142,13 +139,12 @@ func checkMapConsult(pass *lint.Pass, call *ast.CallExpr) {
 		return
 	}
 	obj := named.Obj()
-	if obj.Name() != "Map" || obj.Pkg() == nil || obj.Pkg().Name() != "harden" {
+	if obj.Name() != "Map" || obj.Pkg() == nil || obj.Pkg().Name() != "protect" {
 		return
 	}
 	if fd := pass.Pkg.EnclosingFunc(call.Pos()); fd != nil && fd.Name.Name == "consultProtection" {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"harden.Map.%s read outside consultProtection; campaign code must consult protection maps through the sanctioned consult point",
-		sel.Sel.Name)
+		"protect.Map.Protection read outside consultProtection; campaign code must consult protection maps through the sanctioned consult point")
 }

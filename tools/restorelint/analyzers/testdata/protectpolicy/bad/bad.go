@@ -1,17 +1,14 @@
 // Package fixture exercises the protectpolicy diagnostics.
 package fixture
 
-import (
-	"repro/internal/harden"
-	"repro/internal/protect"
-)
+import "repro/internal/protect"
 
 // Missing ECC: adding a protection domain must not fall through silently.
-func costOf(p harden.Protection) int {
-	switch p { // want "switch over harden.Protection misses ECC"
-	case harden.Unprotected:
+func costOf(p protect.Protection) int {
+	switch p { // want "switch over protect.Protection misses ECC"
+	case protect.Unprotected:
 		return 0
-	case harden.Parity:
+	case protect.Parity:
 		return 1
 	}
 	return 0
@@ -30,9 +27,6 @@ func describe(k protect.Kind) string {
 
 // Campaign-style code reading a protection map directly instead of going
 // through the sanctioned consult point.
-func runTrial(m *harden.Map, elem int) bool {
-	if m.Protected(elem) { // want "harden.Map.Protected read outside consultProtection"
-		return false
-	}
-	return m.Protection(elem) == harden.Unprotected // want "harden.Map.Protection read outside consultProtection"
+func runTrial(m *protect.Map, elem int) bool {
+	return m.Protection(elem) == protect.Unprotected // want "protect.Map.Protection read outside consultProtection"
 }

@@ -1,19 +1,16 @@
 // Package fixture holds protection-policy usage the analyzer must accept.
 package fixture
 
-import (
-	"repro/internal/harden"
-	"repro/internal/protect"
-)
+import "repro/internal/protect"
 
 // Exhaustive coverage of every protection domain.
-func overhead(p harden.Protection) int {
+func overhead(p protect.Protection) int {
 	switch p {
-	case harden.Unprotected:
+	case protect.Unprotected:
 		return 0
-	case harden.Parity:
+	case protect.Parity:
 		return 1
-	case harden.ECC:
+	case protect.ECC:
 		return 8
 	}
 	return 0
@@ -30,18 +27,18 @@ func isDerived(k protect.Kind) bool {
 }
 
 // The sanctioned consult point may read the map.
-func consultProtection(m *harden.Map, elem int) harden.Protection {
+func consultProtection(m *protect.Map, elem int) protect.Protection {
 	return m.Protection(elem)
 }
 
 // Campaign code goes through the consult point...
-func runTrial(m *harden.Map, elem int) bool {
-	return consultProtection(m, elem) == harden.Unprotected
+func runTrial(m *protect.Map, elem int) bool {
+	return consultProtection(m, elem) == protect.Unprotected
 }
 
 // ...or asks the policy itself, which is not a compiled map read.
 func absorbed(pol *protect.Policy, elem string) bool {
-	return pol.ProtectionOf(elem) != harden.Unprotected
+	return pol.ProtectionOf(elem) != protect.Unprotected
 }
 
 // Switches over other types stay out of scope.
@@ -54,6 +51,6 @@ func plain(x int) int {
 }
 
 // The escape hatch still works for deliberate direct reads.
-func surveyed(m *harden.Map) bool {
-	return m.Protected(0) //restorelint:ignore protectpolicy — reporting helper, not campaign logic
+func surveyed(m *protect.Map) bool {
+	return m.Protection(0) != protect.Unprotected //restorelint:ignore protectpolicy — reporting helper, not campaign logic
 }

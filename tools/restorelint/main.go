@@ -53,8 +53,8 @@ var scopes = map[*lint.Analyzer][]string{
 	analyzers.StateRegister: {"internal/pipeline"},
 	analyzers.BitWidth:      nil,
 	analyzers.ProtectPolicy: {
-		"internal/harden", "internal/protect", "internal/inject",
-		"internal/experiments", "internal/restore",
+		"internal/protect", "internal/inject", "internal/experiments",
+		"internal/restore",
 	},
 	analyzers.HotPathAlloc: {
 		"internal/pipeline", "internal/mem", "internal/arch", "internal/inject",
