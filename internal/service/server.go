@@ -4,10 +4,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
 )
+
+// maxSpecBytes bounds a submit body. A job spec is well under 1 KiB; the
+// bound stops a client from making the daemon read an arbitrarily large
+// body before it is rejected.
+const maxSpecBytes = 1 << 20
+
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so a stalled client cannot hold a connection open forever.
+const readHeaderTimeout = 10 * time.Second
 
 // Server wraps a Service in the HTTP API:
 //
@@ -19,7 +29,9 @@ import (
 //	GET  /api/v1/healthz        liveness
 //	GET  /metrics               Prometheus text exposition
 //
-// Errors are a JSON envelope {"error": "..."} with a 4xx/5xx status.
+// Errors are a JSON envelope {"error": "..."} with a 4xx/5xx status. A
+// submit body holds exactly one spec of at most maxSpecBytes: a larger body
+// is refused with 413, and bytes after the spec with 400.
 type Server struct {
 	svc *Service
 	hs  *http.Server
@@ -38,7 +50,7 @@ func NewServer(svc *Service) *Server {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /api/v1/healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.hs = &http.Server{Handler: mux}
+	s.hs = &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 
@@ -99,9 +111,26 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		// One spec per body: a second spec (or any other trailing data)
+		// would otherwise be silently dropped.
+		switch _, tail := dec.Token(); tail {
+		case io.EOF:
+		case nil:
+			err = errors.New("unexpected data after the job spec")
+		default:
+			err = tail
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}

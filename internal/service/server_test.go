@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -103,6 +104,46 @@ func TestHTTPErrors(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field submit: status %d, want 400", resp.StatusCode)
+	}
+
+	spec, err := json.Marshal(tinySpec("gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(cl.url("/api/v1/jobs"), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		defer resp.Body.Close()
+		var env struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("decoding the response: %v", err)
+		}
+		return resp.StatusCode, env.Error
+	}
+
+	// An oversized body is refused once the bound is reached, in the JSON
+	// error envelope, without reading the rest.
+	huge := `{"experiment":"fig2",` + strings.Repeat(" ", 2*maxSpecBytes) + `"seed":7}`
+	if code, msg := post(huge); code != http.StatusRequestEntityTooLarge || !strings.Contains(msg, "exceeds") {
+		t.Fatalf("oversized submit: status %d (%q), want 413", code, msg)
+	}
+
+	// Two concatenated specs are one too many: the second must not be
+	// silently dropped while the first runs.
+	if code, msg := post(string(spec) + string(spec)); code != http.StatusBadRequest || !strings.Contains(msg, "after the job spec") {
+		t.Fatalf("concatenated submit: status %d (%q), want 400", code, msg)
+	}
+	if jobs, err := cl.Jobs(); err != nil || len(jobs) != 0 {
+		t.Fatalf("rejected submits queued jobs: %v, %v", jobs, err)
+	}
+
+	// The rejections leave the daemon serving: one spec, trailing
+	// whitespace and all, still submits.
+	if code, msg := post(string(spec) + "\n"); code != http.StatusCreated {
+		t.Fatalf("valid submit after the rejections: status %d (%q), want 201", code, msg)
 	}
 }
 
