@@ -269,6 +269,24 @@ func TestProtectionOfNilPolicy(t *testing.T) {
 	}
 }
 
+// LowHangingFruit is the paper's hardened placement (Section 5.2.2), the
+// one microarchitectural campaigns plan as harden=1.
+func TestLowHangingFruitMatchesHarden(t *testing.T) {
+	p := LowHangingFruit()
+	if p.Kind != KindHandPicked || p.BudgetBits != 0 {
+		t.Errorf("kind %v, budget %d: want hand-picked with no budget", p.Kind, p.BudgetBits)
+	}
+	// The fingerprint is what a VM campaign under this policy plans with,
+	// and what a microarchitectural campaign compares against to keep the
+	// placement's historical plan string: it must not drift.
+	const fp = "low-hanging-fruit/hand-picked/0:archRAT=ecc,fq.pc=parity,fq.word=parity,freelist=ecc," +
+		"prf.ready=ecc,prf.val=ecc,rob.ctl=parity,sched.flags=parity,sched.robIdx=parity," +
+		"sched.src1=parity,sched.src2=parity,sched.src3=parity,specRAT=ecc"
+	if got := p.Fingerprint(); got != fp {
+		t.Errorf("fingerprint drifted:\n got %s\nwant %s", got, fp)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for _, k := range []Kind{KindNone, KindHandPicked, KindStaticBudget} {
