@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/asm"
-	"repro/internal/dmr"
 	"repro/internal/experiments"
 	"repro/internal/inject"
 	"repro/internal/isa"
@@ -411,29 +410,6 @@ func BenchmarkRestoreOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(speedup, "speedup")
-	}
-}
-
-// BenchmarkDMRStep measures the dual-modular-redundancy pair's throughput
-// (two pipelines plus commit comparison).
-func BenchmarkDMRStep(b *testing.B) {
-	prog := workload.MustGenerate(workload.Gzip, workload.Config{Seed: 1})
-	m, err := prog.NewMemory()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pipe, err := pipeline.New(pipeline.DefaultConfig(), m, prog.Entry)
-	if err != nil {
-		b.Fatal(err)
-	}
-	core := dmr.New(pipe, dmr.Config{})
-	b.ResetTimer()
-	rep, err := core.Run(uint64(b.N), uint64(b.N)*100+10_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.DetectedErrors != 0 {
-		b.Fatal("fault-free divergence")
 	}
 }
 

@@ -72,7 +72,6 @@ import (
 	_ "net/http/pprof" // registers profiling handlers on DefaultServeMux for -pprof
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -370,41 +369,12 @@ func (c *cli) runShard(experiment string) error {
 // every trial slot, and any journal corruption aborts the merge — a damaged
 // shard is resumed, never patched over.
 func mergeRoots(outRoot string, roots []string) error {
-	ids, err := campaignio.ListCampaigns(roots[0])
+	merged, err := campaignio.MergeRoots(outRoot, roots)
 	if err != nil {
 		return err
 	}
-	if len(ids) == 0 {
-		return fmt.Errorf("%w: no campaign directories under %s", campaignio.ErrNoCampaign, roots[0])
-	}
-	known := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		known[id] = true
-	}
-	for _, root := range roots[1:] {
-		other, err := campaignio.ListCampaigns(root)
-		if err != nil {
-			return err
-		}
-		for _, id := range other {
-			if !known[id] {
-				return fmt.Errorf("campaign %s exists under %s but not under %s", id, root, roots[0])
-			}
-		}
-	}
-	for _, id := range ids {
-		dirs := make([]string, len(roots))
-		for i, root := range roots {
-			dirs[i] = filepath.Join(root, id)
-		}
-		man, payloads, err := campaignio.MergeScan(dirs)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		if err := campaignio.WriteMerged(filepath.Join(outRoot, id), man, payloads); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Printf("merged %s: %d/%d slots from %d shards\n", id, len(payloads), man.Slots, len(roots))
+	for _, m := range merged {
+		fmt.Printf("merged %s: %d/%d slots from %d shards\n", m.ID, m.Filled, m.Slots, len(roots))
 	}
 	fmt.Printf("rerun any merged experiment with -out %s to print its full results\n", outRoot)
 	return nil

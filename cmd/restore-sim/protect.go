@@ -62,11 +62,15 @@ func (c *cli) protectPolicies() error {
 	return nil
 }
 
-// protectCompare measures the derived policies: one unprotected campaign
-// per benchmark scores the static-derived placement against the paper's
+// protectCompare measures the derived policies: the unprotected campaign
+// fig4 reports scores the static-derived placement against the paper's
 // hand-picked one at equal check-bit budget.
 func (c *cli) protectCompare() error {
-	res, err := experiments.ProtectCompare(c.opts)
+	plain, err := c.campaign(false, false)
+	if err != nil {
+		return err
+	}
+	res, err := experiments.ProtectCompare(c.opts, plain)
 	if err != nil {
 		return err
 	}
@@ -74,8 +78,8 @@ func (c *cli) protectCompare() error {
 	return nil
 }
 
-// budgetSweep traces coverage against the check-bit budget, reusing one
-// campaign suite for every budget.
+// budgetSweep traces coverage against the check-bit budget, reusing fig4's
+// unprotected campaign for every budget.
 func (c *cli) budgetSweep() error {
 	budgets := defaultSweepBudgets
 	if c.budgets != "" {
@@ -88,7 +92,11 @@ func (c *cli) budgetSweep() error {
 			budgets = append(budgets, n)
 		}
 	}
-	res, err := experiments.BudgetSweep(c.opts, budgets)
+	plain, err := c.campaign(false, false)
+	if err != nil {
+		return err
+	}
+	res, err := experiments.BudgetSweep(c.opts, plain, budgets)
 	if err != nil {
 		return err
 	}

@@ -54,6 +54,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -124,8 +125,8 @@ type Manifest struct {
 
 	// Aux carries campaign-kind-specific aggregates (for the
 	// microarchitectural campaign: state-space bit counts and hardening
-	// stats) so a merge can rebuild the full result without re-running
-	// the simulator. Byte-equal across compatible shards.
+	// stats). Part of the plan: equal, modulo whitespace, across
+	// compatible shards.
 	Aux json.RawMessage `json:"aux,omitempty"`
 }
 
@@ -802,6 +803,72 @@ func WriteMerged(dir string, m Manifest, payloads [][]byte) error {
 		}
 	}
 	return w.Close()
+}
+
+// MergedCampaign is one campaign MergeRoots wrote.
+type MergedCampaign struct {
+	ID     string // the campaign's directory name under every root
+	Filled int    // slots merged: the plan's, or a prefix if the campaign truncated
+	Slots  int    // slots in the plan
+}
+
+// MergeRoots merges the campaigns of a sharded run into outRoot. Each root is
+// one shard's campaign root, holding a directory per campaign ID, and every
+// root must hold the same campaign IDs. Each campaign's shard directories
+// pass through MergeScan and WriteMerged into outRoot/<ID>, in ID order. A
+// first root holding no campaign is ErrNoCampaign.
+func MergeRoots(outRoot string, roots []string) ([]MergedCampaign, error) {
+	if len(roots) == 0 {
+		return nil, fmt.Errorf("%w: no shard roots to merge", ErrNoCampaign)
+	}
+	ids, err := ListCampaigns(roots[0])
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("%w: no campaign directories under %s", ErrNoCampaign, roots[0])
+	}
+	for _, root := range roots[1:] {
+		other, err := ListCampaigns(root)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Equal(ids, other) {
+			return nil, fmt.Errorf("%w: campaign %s is under only one of %s and %s",
+				ErrManifestMismatch, firstDiff(ids, other), roots[0], root)
+		}
+	}
+	merged := make([]MergedCampaign, len(ids))
+	dirs := make([]string, len(roots))
+	for i, id := range ids {
+		for k, root := range roots {
+			dirs[k] = filepath.Join(root, id)
+		}
+		man, payloads, err := MergeScan(dirs)
+		if err != nil {
+			return nil, fmt.Errorf("merging %s: %w", id, err)
+		}
+		if err := WriteMerged(filepath.Join(outRoot, id), man, payloads); err != nil {
+			return nil, fmt.Errorf("writing merged %s: %w", id, err)
+		}
+		merged[i] = MergedCampaign{ID: id, Filled: len(payloads), Slots: man.Slots}
+	}
+	return merged, nil
+}
+
+// firstDiff returns the first ID that only one of two different sorted ID
+// lists holds.
+func firstDiff(a, b []string) string {
+	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
+	}
+	switch {
+	case len(a) == 0:
+		return b[0]
+	case len(b) == 0:
+		return a[0]
+	}
+	return min(a[0], b[0])
 }
 
 // syncDir fsyncs a directory so a rename within it is durable. Some

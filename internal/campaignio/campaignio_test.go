@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -349,6 +351,84 @@ func TestWriteMergedIsResumable(t *testing.T) {
 			t.Fatalf("merged journal not in slot order at %d: slot %d", i, rec.Slot)
 		}
 	}
+}
+
+// MergeRoots is the merge behind both the restore-sim merge subcommand and
+// the campaign daemon: per campaign, exactly the directory MergeScan plus
+// WriteMerged produce.
+func TestMergeRoots(t *testing.T) {
+	// shardRoots journals a two-way sharded run of each campaign under two
+	// shard roots; a truncated campaign covers a 4-slot prefix of 10.
+	shardRoots := func(t *testing.T, ids ...string) []string {
+		roots := []string{t.TempDir(), t.TempDir()}
+		for _, id := range ids {
+			slots, shard := 6, [][]int{{0, 2, 4}, {1, 3, 5}}
+			if id == "truncated" {
+				slots, shard = 10, [][]int{{0, 2}, {1, 3}}
+			}
+			for k, root := range roots {
+				writeJournal(t, filepath.Join(root, id), testManifest(slots, k, 2), shard[k], 1)
+			}
+		}
+		return roots
+	}
+
+	t.Run("matching roots", func(t *testing.T) {
+		roots, out := shardRoots(t, "full", "truncated"), t.TempDir()
+		merged, err := MergeRoots(out, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []MergedCampaign{{ID: "full", Filled: 6, Slots: 6}, {ID: "truncated", Filled: 4, Slots: 10}}
+		if !slices.Equal(merged, want) {
+			t.Fatalf("MergeRoots = %+v, want %+v", merged, want)
+		}
+		for _, m := range merged {
+			man, payloads, err := MergeScan([]string{filepath.Join(roots[0], m.ID), filepath.Join(roots[1], m.ID)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := t.TempDir()
+			if err := WriteMerged(ref, man, payloads); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{ManifestName, JournalName} {
+				got, err := os.ReadFile(filepath.Join(out, m.ID, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := os.ReadFile(filepath.Join(ref, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s/%s differs from WriteMerged's bytes", m.ID, name)
+				}
+			}
+		}
+	})
+
+	t.Run("different campaigns", func(t *testing.T) {
+		roots := shardRoots(t, "a", "b")
+		writeJournal(t, filepath.Join(roots[1], "c"), testManifest(6, 1, 2), []int{1, 3, 5}, 1)
+		_, err := MergeRoots(t.TempDir(), roots)
+		if !errors.Is(err, ErrManifestMismatch) || !strings.Contains(err.Error(), "campaign c ") {
+			t.Fatalf("roots holding different campaigns: err = %v", err)
+		}
+		// The other way round: the first root holds the extra campaign.
+		_, err = MergeRoots(t.TempDir(), []string{roots[1], roots[0]})
+		if !errors.Is(err, ErrManifestMismatch) || !strings.Contains(err.Error(), "campaign c ") {
+			t.Fatalf("first root holding an extra campaign: err = %v", err)
+		}
+	})
+
+	t.Run("empty root", func(t *testing.T) {
+		root := t.TempDir()
+		_, err := MergeRoots(t.TempDir(), []string{root, t.TempDir()})
+		if !errors.Is(err, ErrNoCampaign) || !strings.Contains(err.Error(), root) {
+			t.Fatalf("empty root: err = %v", err)
+		}
+	})
 }
 
 func TestWriterUnflushedBatchNotVisible(t *testing.T) {

@@ -57,8 +57,10 @@ type Options struct {
 	// ShardIndex and ShardCount split every campaign's trial slots across
 	// cooperating processes: slot s belongs to the shard with
 	// s % ShardCount == ShardIndex. Sharding requires CampaignRoot; the
-	// shard journals are merged with inject.MergeUArch/MergeVM or the
-	// `restore-sim merge` subcommand. Zero values mean unsharded.
+	// shard roots are merged with campaignio.MergeRoots (the
+	// `restore-sim merge` subcommand), and rerunning the experiment with
+	// the merged root as CampaignRoot prints the full results without
+	// re-running a trial. Zero values mean unsharded.
 	ShardIndex int
 	ShardCount int
 	// GoldenImageRoot, if non-empty, gives every campaign a warmed-state

@@ -60,9 +60,10 @@ type ProtectCompareResult struct {
 }
 
 // ProtectCompare derives a static-budget policy per benchmark (at the
-// hand-picked placement's budget), runs one unprotected campaign per
-// benchmark, and scores both policies against the same baseline failures.
-func ProtectCompare(opts Options) (*ProtectCompareResult, error) {
+// hand-picked placement's budget) and scores it and the hand-picked placement
+// against the same baseline failures: those of plain, the unprotected
+// campaign over opts.Benchmarks.
+func ProtectCompare(opts Options, plain *UArchExperiment) (*ProtectCompareResult, error) {
 	opts.applyDefaults()
 	lhf := protect.LowHangingFruit()
 	res := &ProtectCompareResult{}
@@ -73,9 +74,9 @@ func ProtectCompare(opts Options) (*ProtectCompareResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("protect %s: %w", bench, err)
 		}
-		r, err := runCampaign(opts, bench, CampaignConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("protect %s: %w", bench, err)
+		r := plain.PerBench[bench]
+		if r == nil {
+			return nil, fmt.Errorf("protect %s: no unprotected campaign", bench)
 		}
 		failing := 0
 		for _, t := range r.Trials {
@@ -134,10 +135,10 @@ type BudgetSweepResult struct {
 	Table  string
 }
 
-// BudgetSweep reuses one unprotected campaign suite (and one static
-// ranking per benchmark) to measure the coverage the optimizer buys at each
-// budget — the marginal-return curve of the check-bit budget.
-func BudgetSweep(opts Options, budgets []uint64) (*BudgetSweepResult, error) {
+// BudgetSweep reuses plain, the unprotected campaign over opts.Benchmarks,
+// and one static ranking per benchmark to measure the coverage the optimizer
+// buys at each budget — the marginal-return curve of the check-bit budget.
+func BudgetSweep(opts Options, plain *UArchExperiment, budgets []uint64) (*BudgetSweepResult, error) {
 	opts.applyDefaults()
 	type benchState struct {
 		bench  workload.Benchmark
@@ -152,9 +153,9 @@ func BudgetSweep(opts Options, budgets []uint64) (*BudgetSweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("budget-sweep %s: %w", bench, err)
 		}
-		r, err := runCampaign(opts, bench, CampaignConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("budget-sweep %s: %w", bench, err)
+		r := plain.PerBench[bench]
+		if r == nil {
+			return nil, fmt.Errorf("budget-sweep %s: no unprotected campaign", bench)
 		}
 		states = append(states, benchState{bench: bench, rk: rk, trials: r.Trials})
 	}

@@ -51,10 +51,15 @@ func TestBudgetSweepMonotone(t *testing.T) {
 		t.Skip("campaign test is slow")
 	}
 	budgets := []uint64{0, 200, 800, 1664, 4096}
-	res, err := BudgetSweep(Options{
+	opts := Options{
 		TrialFactor: 0.1,
 		Benchmarks:  []workload.Benchmark{"gzip", "mcf"},
-	}, budgets)
+	}
+	plain, err := Campaign(opts, CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := BudgetSweep(opts, plain, budgets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +101,11 @@ func TestProtectAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale campaigns are slow")
 	}
-	res, err := ProtectCompare(Options{})
+	plain, err := Campaign(Options{}, CampaignConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ProtectCompare(Options{}, plain)
 	if err != nil {
 		t.Fatal(err)
 	}

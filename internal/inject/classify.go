@@ -67,12 +67,12 @@ func VMCategories() []string {
 
 // VMTrial is the outcome record of one software-level injection.
 type VMTrial struct {
-	Point uint64 // dynamic instruction index of the corrupted result
+	Point uint64 // PC of the instruction whose result was corrupted
 	Bit   uint8  // flipped bit position within the 64-bit result
 
-	// Protected is set when a protection policy covered the register file:
-	// the flip was corrected (or flushed) at the injection site, so the
-	// trial is masked by construction.
+	// Protected is always false: no VM campaign applies a protection
+	// policy. It stays for the journal format, in which every VM record
+	// carries "Protected":false.
 	Protected bool
 
 	// Masked is true when the fault never caused failure: architectural
@@ -215,10 +215,10 @@ const (
 	// DetectorNone disables control-flow symptoms (exception+deadlock
 	// only).
 	DetectorNone
-	// DetectorDMR models full execution replication (package dmr): ANY
-	// committed architectural divergence — wrong value, wrong store,
-	// wrong path, exception — is caught at retirement. The coverage
-	// bound ReStore trades away for its near-zero hardware cost.
+	// DetectorDMR models full execution replication: ANY committed
+	// architectural divergence — wrong value, wrong store, wrong path,
+	// exception — is caught at retirement. The coverage bound ReStore
+	// trades away for its near-zero hardware cost.
 	DetectorDMR
 )
 

@@ -62,7 +62,9 @@ func TestCompressedJournalCampaignEquivalence(t *testing.T) {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	merged, err := MergeVM(resumeVM(bench), dirs)
+	mcfg := resumeVM(bench)
+	mcfg.Exec = mergeShards(t, dirs)
+	merged, err := RunVM(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,14 +57,7 @@ func mergedDigests(t *testing.T, run func(dir string, shard, workers int) error)
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	man, payloads, err := campaignio.MergeScan(dirs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(root, "merged")
-	if err := campaignio.WriteMerged(out, man, payloads); err != nil {
-		t.Fatal(err)
-	}
+	out := mergeShards(t, dirs).ResumeFrom
 	read := func(name string) string {
 		b, err := os.ReadFile(filepath.Join(out, name))
 		if err != nil {
@@ -129,7 +122,6 @@ func TestCampaignDigests(t *testing.T) {
 			c.Pipeline = &pcfg
 		}))
 		t.Run("vm/gzip/low32", vm("vm/gzip/low32", func(c *VMConfig) { c.Low32 = true }))
-		t.Run("vm/gzip/policy", vm("vm/gzip/policy", func(c *VMConfig) { c.Policy = testPolicy() }))
 		t.Run("vm/gzip/workers4", vm("vm/gzip/workers4", func(c *VMConfig) { c.Workers = 4 }))
 
 		t.Run("durable/uarch/gzip", func(t *testing.T) {
@@ -208,15 +200,12 @@ func TestCampaignIDsPinned(t *testing.T) {
 	hardened.Policy = protect.LowHangingFruit()
 	policy := smallUArch(workload.Gzip)
 	policy.Policy = testPolicy()
-	vmPolicy := smallVM(workload.Gzip, false)
-	vmPolicy.Policy = testPolicy()
 	for _, tc := range []struct {
 		name, got, want string
 	}{
 		{"uarch", smallUArch(workload.Gzip).CampaignID(), "uarch-gzip-7d935e59c293a96d"},
 		{"uarch/low-hanging-fruit", hardened.CampaignID(), "uarch-gzip-13a5567b55019468"},
 		{"uarch/policy", policy.CampaignID(), "uarch-gzip-96a2babba6b2af6d"},
-		{"vm/policy", vmPolicy.CampaignID(), "vm-gzip-438a08a09a5e63c3"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: CampaignID %s, pinned %s", tc.name, tc.got, tc.want)

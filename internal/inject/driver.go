@@ -58,9 +58,11 @@ type Exec struct {
 
 	// ShardIndex/ShardCount partition the pre-drawn trial plan across
 	// processes: shard i of n runs the slots s with s%n == i, journalling
-	// into its own ResumeFrom directory; MergeUArch/MergeVM (or the
-	// restore-sim merge subcommand) reassemble the full result. Zero
-	// ShardCount means unsharded. Sharding requires ResumeFrom.
+	// into its own ResumeFrom directory. The shard directories merge with
+	// campaignio.MergeScan and WriteMerged, as the restore-sim merge
+	// subcommand does, and a run resumed from the merged directory returns
+	// the full result without re-running a trial. Zero ShardCount means
+	// unsharded. Sharding requires ResumeFrom.
 	ShardIndex int
 	ShardCount int
 
@@ -312,29 +314,4 @@ func warm(x *Exec, prefix string, m warmImage) error {
 	x.Obs.Counter(prefix + "_golden_image_plain_bytes_total").Add(st.PlainBytes)
 	x.Obs.Counter(prefix + "_golden_image_stored_bytes_total").Add(st.StoredBytes)
 	return nil
-}
-
-// merge reassembles the trials of a sharded campaign from its shard
-// directories. Every shard manifest must match spec's plan; overlapping,
-// stray, missing or torn records are errors (campaignio.MergeScan) — a
-// damaged shard is resumed, never patched over here.
-func merge[T any](spec campaignSpec, dirs []string) (campaignio.Manifest, []T, error) {
-	man, payloads, err := campaignio.MergeScan(dirs)
-	if err != nil {
-		return man, nil, err
-	}
-	// The merged manifest carries the shards' aggregates, which a merge
-	// cannot recompute; everything else must match the plan.
-	want := spec.manifest(&Exec{})
-	want.Aux = man.Aux
-	if err := want.SamePlan(man); err != nil {
-		return man, nil, err
-	}
-	trials := make([]T, len(payloads))
-	for slot, p := range payloads {
-		if err := json.Unmarshal(p, &trials[slot]); err != nil {
-			return man, nil, fmt.Errorf("inject: %w: slot %d: %v", campaignio.ErrCorrupt, slot, err)
-		}
-	}
-	return man, trials, nil
 }

@@ -169,10 +169,12 @@ func TestGoldenImageWithShardedResume(t *testing.T) {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
-	merged, err := MergeVM(cfg, []string{
+	mcfg := cfg
+	mcfg.Exec = mergeShards(t, []string{
 		filepath.Join(root, "shard", "0"),
 		filepath.Join(root, "shard", "1"),
 	})
+	merged, err := RunVM(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

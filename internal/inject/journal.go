@@ -73,18 +73,15 @@ func (c UArchConfig) planString() string {
 }
 
 func (c VMConfig) planString() string {
-	s := fmt.Sprintf("vm|bench=%s|seed=%d|scale=%g|trials=%d|points=%d|warmup=%d|spread=%d|window=%d|low32=%t",
+	return fmt.Sprintf("vm|bench=%s|seed=%d|scale=%g|trials=%d|points=%d|warmup=%d|spread=%d|window=%d|low32=%t",
 		c.Bench, c.Seed, c.Scale, c.Trials, c.Points,
 		c.Warmup, c.Spread, c.Window, c.Low32)
-	if c.Policy != nil {
-		s += "|policy=" + c.Policy.Fingerprint()
-	}
-	return s
 }
 
 // uarchAux is the microarchitectural campaign's manifest aggregate: state
-// derived from the pipeline geometry, carried in the manifest so a merge can
-// rebuild the full UArchResult without constructing a pipeline.
+// derived from the pipeline geometry. It is part of the plan identity, so
+// shards must agree on it before they merge and a run resumes a directory
+// only if it derives the same aggregate.
 type uarchAux struct {
 	TotalBits   uint64          `json:"total_bits"`
 	LatchBits   uint64          `json:"latch_bits"`
@@ -258,39 +255,4 @@ func interrupted(ch <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// MergeUArch merges the shard directories of a microarchitectural campaign
-// into the result an unsharded run of cfg would return. Every shard manifest
-// must match cfg's plan; overlapping, stray, missing or torn records are
-// errors (campaignio.MergeScan) — a damaged shard is resumed, never patched
-// over here.
-func MergeUArch(cfg UArchConfig, dirs []string) (*UArchResult, error) {
-	cfg.applyDefaults()
-	man, trials, err := merge[UArchTrial](cfg.spec(), dirs)
-	if err != nil {
-		return nil, err
-	}
-	var aux uarchAux
-	if err := json.Unmarshal(man.Aux, &aux); err != nil {
-		return nil, fmt.Errorf("inject: %w: campaign aggregates: %v", campaignio.ErrCorrupt, err)
-	}
-	return &UArchResult{
-		Config:      cfg,
-		Trials:      trials,
-		TotalBits:   aux.TotalBits,
-		LatchBits:   aux.LatchBits,
-		HardenStats: protect.Stats(aux.HardenStats),
-	}, nil
-}
-
-// MergeVM merges the shard directories of a software-level campaign into the
-// result an unsharded run of cfg would return.
-func MergeVM(cfg VMConfig, dirs []string) (*VMResult, error) {
-	cfg.applyDefaults()
-	_, trials, err := merge[VMTrial](cfg.spec(), dirs)
-	if err != nil {
-		return nil, err
-	}
-	return &VMResult{Config: cfg, Trials: trials}, nil
 }

@@ -66,7 +66,8 @@ func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 	}
 	mcfg := resumeUArch("gzip")
 	mcfg.Policy = pol
-	merged, err := MergeUArch(mcfg, dirs)
+	mcfg.Exec = mergeShards(t, dirs)
+	merged, err := RunUArch(mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,57 +118,4 @@ func TestUArchPolicyEntersPlan(t *testing.T) {
 	if _, err := RunUArch(other); err == nil {
 		t.Fatal("resuming a policy campaign without its policy succeeded")
 	}
-}
-
-// The VM campaign's software-level fault model injects register-file
-// values, so a policy covering prf.val absorbs every trial; one not
-// covering it changes nothing.
-func TestVMPolicyAbsorbsRegisterFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign test is slow")
-	}
-	baseline, err := RunVM(resumeVM("gzip"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := resumeVM("gzip")
-	cfg.Policy = testPolicy()
-	covered, err := RunVM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(covered.Trials) != len(baseline.Trials) {
-		t.Fatalf("%d trials vs baseline %d", len(covered.Trials), len(baseline.Trials))
-	}
-	for i, tr := range covered.Trials {
-		if !tr.Protected || !tr.Masked {
-			t.Fatalf("trial %d under prf.val ECC: %+v, want Protected+Masked", i, tr)
-		}
-		if b := baseline.Trials[i]; tr.Point != b.Point || tr.Bit != b.Bit {
-			t.Fatalf("trial %d picks diverged: %+v vs %+v", i, tr, b)
-		}
-	}
-
-	// Same campaign under parallel workers agrees bit for bit.
-	cfg = resumeVM("gzip")
-	cfg.Policy = testPolicy()
-	cfg.Workers = 3
-	par, err := RunVM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameVMResults(t, "serial vs parallel", covered, par)
-
-	// A policy that leaves the register file unprotected reproduces the
-	// baseline exactly.
-	latchOnly := &protect.Policy{Name: "latch-only", Kind: protect.KindStaticBudget,
-		Assign: []protect.Assignment{{Elem: "fetchPC", Prot: protect.Parity}}}
-	cfg = resumeVM("gzip")
-	cfg.Policy = latchOnly
-	same, err := RunVM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameVMResults(t, "latch-only vs baseline", baseline, same)
 }

@@ -54,6 +54,27 @@ func interruptAfter(n int64) (<-chan struct{}, func(done, total int)) {
 	}
 }
 
+// mergeShards merges a campaign's shard directories the way the restore-sim
+// merge subcommand and the campaign daemon do, with campaignio.MergeScan and
+// WriteMerged into a fresh directory, and returns an Exec that resumes the
+// campaign from the merged directory. Its Interrupt has already fired, so a
+// run under it succeeds only if the merged journal holds every slot it
+// needs: one trial left to simulate stops the run with ErrInterrupted.
+func mergeShards(t *testing.T, dirs []string) Exec {
+	t.Helper()
+	man, payloads, err := campaignio.MergeScan(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "merged")
+	if err := campaignio.WriteMerged(out, man, payloads); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	return Exec{ResumeFrom: out, Interrupt: stop}
+}
+
 func sameUArchResults(t *testing.T, label string, want, got *UArchResult) {
 	t.Helper()
 	if got.TotalBits != want.TotalBits || got.LatchBits != want.LatchBits ||
@@ -136,7 +157,9 @@ func TestUArchDurableEquivalence(t *testing.T) {
 					t.Fatalf("shard %d: %v", i, err)
 				}
 			}
-			merged, err := MergeUArch(resumeUArch(bench), dirs)
+			mcfg := resumeUArch(bench)
+			mcfg.Exec = mergeShards(t, dirs)
+			merged, err := RunUArch(mcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +208,9 @@ func TestVMDurableEquivalence(t *testing.T) {
 					t.Fatalf("shard %d: %v", i, err)
 				}
 			}
-			merged, err := MergeVM(resumeVM(bench), dirs)
+			mcfg := resumeVM(bench)
+			mcfg.Exec = mergeShards(t, dirs)
+			merged, err := RunVM(mcfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +334,7 @@ func TestMergeRefusesIncompleteShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := MergeUArch(resumeUArch(bench), dirs); err == nil {
+	if _, _, err := campaignio.MergeScan(dirs); err == nil {
 		t.Fatal("merge accepted an incomplete shard")
 	}
 
@@ -320,7 +345,7 @@ func TestMergeRefusesIncompleteShard(t *testing.T) {
 	if _, err := RunUArch(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeUArch(resumeUArch(bench), dirs); err != nil {
+	if _, _, err := campaignio.MergeScan(dirs); err != nil {
 		t.Fatalf("merge of completed shards failed: %v", err)
 	}
 }

@@ -175,10 +175,11 @@ type uarchPick struct {
 //
 // With ResumeFrom set the campaign is durable: completed trials are
 // journalled and recovered on the next run (see the package comment in
-// journal.go). With ShardCount > 1 only the owned slots run — the returned
-// result is partial (other shards' slots are zero-valued) and MergeUArch
-// reassembles the full one. When Interrupt fires, in-flight trials drain,
-// the journal flushes, and RunUArch returns ErrInterrupted.
+// journal.go). With ShardCount > 1 only the owned slots run and the returned
+// result is partial (other shards' slots are zero-valued); resuming from the
+// merged shard directories returns the full one. When Interrupt fires,
+// in-flight trials drain, the journal flushes, and RunUArch returns
+// ErrInterrupted.
 func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	cfg.applyDefaults()
 	m, err := newUArchModel(&cfg)

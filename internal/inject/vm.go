@@ -10,7 +10,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
-	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -42,15 +41,6 @@ type VMConfig struct {
 	// Low32 restricts flips to result bits 0..31, reproducing the
 	// Section 3.1 sensitivity study of virtual-address-space size.
 	Low32 bool
-
-	// Policy, if non-nil, applies a protection policy (internal/protect)
-	// at this campaign's architectural fault model: the flipped result bit
-	// lives in the physical register file, so a policy covering "prf.val"
-	// absorbs every trial (ECC corrects the flip before any consumer reads
-	// it; parity detects it and a flush refetches). Bit picks stay
-	// pre-drawn, so trial plans are identical under every policy; the
-	// policy fingerprint enters the durable-campaign plan string.
-	Policy *protect.Policy
 
 	// Exec says how the campaign runs; none of its fields enter the plan.
 	Exec
@@ -125,10 +115,10 @@ func (r *VMResult) Distribution(latency uint64) map[string]float64 {
 //
 // With ResumeFrom set the campaign is durable: completed trials are
 // journalled and recovered on the next run (see the package comment in
-// journal.go). With ShardCount > 1 only the owned slots run — the returned
-// result is partial and MergeVM reassembles the full one. When Interrupt
-// fires, in-flight trials drain, the journal flushes, and RunVM returns
-// ErrInterrupted.
+// journal.go). With ShardCount > 1 only the owned slots run and the returned
+// result is partial; resuming from the merged shard directories returns the
+// full one. When Interrupt fires, in-flight trials drain, the journal
+// flushes, and RunVM returns ErrInterrupted.
 func RunVM(cfg VMConfig) (*VMResult, error) {
 	cfg.applyDefaults()
 	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
@@ -155,15 +145,14 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 // with Workers > 1 each trial runs on a pooled fork of the walker instead.
 // Both serve real campaigns and yield identical bytes.
 type vmModel struct {
-	cfg          *VMConfig
-	entry        uint64
-	mem          *mem.Memory
-	sim          *arch.Sim
-	dcache       *isa.DecodeCache
-	parallel     bool
-	prfProtected bool
-	points       []uint64 // injection instruction indices, ascending
-	bits         []uint8  // per slot
+	cfg      *VMConfig
+	entry    uint64
+	mem      *mem.Memory
+	sim      *arch.Sim
+	dcache   *isa.DecodeCache
+	parallel bool
+	points   []uint64 // injection instruction indices, ascending
+	bits     []uint8  // per slot
 
 	inj     arch.Event    // the injection instruction at the current point
 	preRegs arch.Snapshot // golden registers just after inj
@@ -209,19 +198,13 @@ func newVMModel(cfg *VMConfig, prog *workload.Program) (*vmModel, error) {
 	}
 	memory.EnableJournal()
 	m := &vmModel{
-		cfg:      cfg,
-		entry:    prog.Entry,
-		mem:      memory,
-		sim:      arch.New(memory, prog.Entry),
-		parallel: cfg.Workers > 1,
-		// This campaign's fault model corrupts one register-file value, so
-		// a policy covering the PRF absorbs every trial at the injection
-		// site. Evaluated once, against the policy itself — campaign code
-		// never reads a compiled protection map directly (see
-		// consultProtection).
-		prfProtected: cfg.Policy.ProtectionOf("prf.val") != protect.Unprotected,
-		goldenInsts:  cfg.Obs.Counter("campaign_vm_golden_insts_total"),
-		memPool:      newForkPool(cfg.Obs, "campaign_vm_mem_pool", (*mem.Memory).Clone, (*mem.Memory).CopyFrom),
+		cfg:         cfg,
+		entry:       prog.Entry,
+		mem:         memory,
+		sim:         arch.New(memory, prog.Entry),
+		parallel:    cfg.Workers > 1,
+		goldenInsts: cfg.Obs.Counter("campaign_vm_golden_insts_total"),
+		memPool:     newForkPool(cfg.Obs, "campaign_vm_mem_pool", (*mem.Memory).Clone, (*mem.Memory).CopyFrom),
 	}
 	if !cfg.noDecodeCache {
 		// Decode the code image once; the golden simulators and every
@@ -358,12 +341,6 @@ func (m *vmModel) extendLog(end uint64) (bool, error) {
 func (m *vmModel) prepare(slot int, out *VMTrial, w *engine) bool {
 	bit, dest, g, noEarlyExit := m.bits[slot], m.inj.Dest, m.golden, m.cfg.noEarlyExit
 	*out = newVMTrial(m.inj.PC, bit)
-	if m.prfProtected {
-		// Absorbed at the injection site: no fault enters the machine, so
-		// the trial is masked by construction.
-		out.Protected, out.Masked = true, true
-		return true
-	}
 	if !m.parallel {
 		// Rewind to the injection point and corrupt the result in place.
 		m.rewind()

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -439,26 +438,13 @@ func (s *Service) mergeJob(id string) ([]string, error) {
 	for k := range dirs {
 		dirs[k] = s.st.shardRoot(id, k)
 	}
-	ids, err := campaignio.ListCampaigns(dirs[0])
+	merged, err := campaignio.MergeRoots(s.st.mergedDir(id), dirs)
 	if err != nil {
 		return nil, err
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: job %s journalled no campaigns under %s",
-			campaignio.ErrNoCampaign, id, dirs[0])
-	}
-	for _, cid := range ids {
-		shardDirs := make([]string, len(dirs))
-		for k, d := range dirs {
-			shardDirs[k] = filepath.Join(d, cid)
-		}
-		man, payloads, err := campaignio.MergeScan(shardDirs)
-		if err != nil {
-			return nil, fmt.Errorf("merging %s: %w", cid, err)
-		}
-		if err := campaignio.WriteMerged(filepath.Join(s.st.mergedDir(id), cid), man, payloads); err != nil {
-			return nil, fmt.Errorf("writing merged %s: %w", cid, err)
-		}
+	ids := make([]string, len(merged))
+	for i, m := range merged {
+		ids[i] = m.ID
 	}
 	return ids, nil
 }
