@@ -52,7 +52,6 @@
 // -golden-image <dir> saves each campaign's warmed-up simulator state into
 // <dir> on first run; reruns and shard workers restore the image instead of
 // re-simulating the warm-up, with byte-identical results.
-// -compress-journal writes fresh campaign journals with compressed segments.
 // `restore-sim ckpt inspect <image>` prints a golden image's frame directory.
 //
 // Service mode: `restore-sim -root <dir> serve` runs the campaign service
@@ -136,7 +135,6 @@ func run(args []string) error {
 		shard     = fs.String("shard", "", "run shard k/n of every campaign (1-based, e.g. 1/4); requires -out, combine shard directories with the merge subcommand")
 		stopAfter = fs.Int("stop-after", 0, "interrupt the run after this many trial completions (deterministic stand-in for ctrl-C; mainly for tests and CI)")
 		golden    = fs.String("golden-image", "", "golden-image directory: the first run of each campaign saves its warmed-up state under this directory, reruns and shards restore it instead of re-simulating the warm-up; results are identical either way")
-		compress  = fs.Bool("compress-journal", false, "write fresh campaign journals with compressed segments (needs -out; an existing journal keeps the framing it was created with)")
 		budget    = fs.Uint64("budget", 0, "check-bit budget for the protect subcommand (0 = the hand-picked placement's overhead)")
 		budgets   = fs.String("budgets", "", "comma-separated check-bit budgets for budget-sweep (default 0,416,832,1664,3328,6656)")
 		sroot     = fs.String("root", "", "campaign service root directory (the serve daemon and its submit/status/cancel/jobs clients)")
@@ -184,7 +182,7 @@ func run(args []string) error {
 			return fmt.Errorf("usage: restore-sim -root <dir> [flags] submit <experiment>")
 		}
 		return runSubmit(*sroot, *addr, fs.Arg(1), *benches, *seed, *scale, *trials,
-			*shards, *workers, *compress, *wait)
+			*shards, *workers, *wait)
 	case "status":
 		if fs.NArg() != 2 {
 			return fmt.Errorf("usage: restore-sim -root <dir> [-wait] status <job-id>")
@@ -231,7 +229,6 @@ func run(args []string) error {
 			ShardIndex:      shardIndex,
 			ShardCount:      shardCount,
 			GoldenImageRoot: *golden,
-			CompressJournal: *compress,
 		},
 		csv:      *csv,
 		interval: *interval,

@@ -123,31 +123,35 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 
 // TestRunDurableResumeMatchesOneShot interrupts a durable CLI run with
 // -stop-after, resumes it, and requires the resumed run to print exactly
-// what a one-shot run prints.
+// what a one-shot run prints, for a µarch (fig4) and a VM (fig2) campaign.
 func TestRunDurableResumeMatchesOneShot(t *testing.T) {
-	oneShot, err := captureStdout(t, func() error { return run(tinyArgs("fig4")) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, exp := range []string{"fig4", "fig2"} {
+		t.Run(exp, func(t *testing.T) {
+			oneShot, err := captureStdout(t, func() error { return run(tinyArgs(exp)) })
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	dir := t.TempDir()
-	durable := append([]string{"-out", dir, "-stop-after", "5"}, tinyArgs("fig4")...)
-	if _, err := captureStdout(t, func() error { return run(durable) }); err != nil {
-		t.Fatalf("interrupted run must exit cleanly, got %v", err)
-	}
-	ids, err := campaignio.ListCampaigns(dir)
-	if err != nil || len(ids) == 0 {
-		t.Fatalf("interrupted run left no campaign directory (ids %v, err %v)", ids, err)
-	}
+			dir := t.TempDir()
+			durable := append([]string{"-out", dir, "-stop-after", "5"}, tinyArgs(exp)...)
+			if _, err := captureStdout(t, func() error { return run(durable) }); err != nil {
+				t.Fatalf("interrupted run must exit cleanly, got %v", err)
+			}
+			ids, err := campaignio.ListCampaigns(dir)
+			if err != nil || len(ids) == 0 {
+				t.Fatalf("interrupted run left no campaign directory (ids %v, err %v)", ids, err)
+			}
 
-	resumed, err := captureStdout(t, func() error {
-		return run(append([]string{"-out", dir}, tinyArgs("fig4")...))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != oneShot {
-		t.Errorf("resumed output differs from one-shot:\n--- one-shot ---\n%s--- resumed ---\n%s", oneShot, resumed)
+			resumed, err := captureStdout(t, func() error {
+				return run(append([]string{"-out", dir}, tinyArgs(exp)...))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed != oneShot {
+				t.Errorf("resumed output differs from one-shot:\n--- one-shot ---\n%s--- resumed ---\n%s", oneShot, resumed)
+			}
+		})
 	}
 }
 
@@ -284,45 +288,5 @@ func TestRunGoldenImageAndInspect(t *testing.T) {
 	}
 	if err := run([]string{"ckpt", "inspect", filepath.Join(root, "absent.golden")}); err == nil {
 		t.Error("inspect of a missing file succeeded")
-	}
-}
-
-// TestRunCompressedJournalResume interrupts a durable -compress-journal run,
-// resumes it, and requires the same output as a one-shot run plus a v2
-// journal on disk.
-func TestRunCompressedJournalResume(t *testing.T) {
-	oneShot, err := captureStdout(t, func() error { return run(tinyArgs("fig2")) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	durable := append([]string{"-out", dir, "-compress-journal", "-stop-after", "5"}, tinyArgs("fig2")...)
-	if _, err := captureStdout(t, func() error { return run(durable) }); err != nil {
-		t.Fatalf("interrupted run must exit cleanly, got %v", err)
-	}
-	ids, err := campaignio.ListCampaigns(dir)
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("campaign dirs = %v (err %v)", ids, err)
-	}
-	hdr := make([]byte, 8)
-	jf, err := os.Open(filepath.Join(dir, ids[0], campaignio.JournalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(jf, hdr); err != nil {
-		t.Fatal(err)
-	}
-	jf.Close()
-	if string(hdr) != "RSTJRNL2" {
-		t.Fatalf("journal magic = %q, want RSTJRNL2", hdr)
-	}
-	resumed, err := captureStdout(t, func() error {
-		return run(append([]string{"-out", dir, "-compress-journal"}, tinyArgs("fig2")...))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed != oneShot {
-		t.Errorf("compressed resumed output differs from one-shot:\n--- one-shot ---\n%s--- resumed ---\n%s", oneShot, resumed)
 	}
 }

@@ -92,10 +92,10 @@ func serviceClient(root, addr string) (*service.Client, error) {
 }
 
 // runSubmit submits one experiment as a job, reusing the campaign flags the
-// one-shot CLI takes (-seed, -scale, -trials, -bench, -workers,
-// -compress-journal) plus -shards for the fan-out.
+// one-shot CLI takes (-seed, -scale, -trials, -bench, -workers) plus
+// -shards for the fan-out.
 func runSubmit(root, addr, experiment, benches string, seed int64, scale, trials float64,
-	shards, workers int, compress, wait bool) error {
+	shards, workers int, wait bool) error {
 	cl, err := serviceClient(root, addr)
 	if err != nil {
 		return err
@@ -104,13 +104,12 @@ func runSubmit(root, addr, experiment, benches string, seed int64, scale, trials
 		workers = runtime.NumCPU()
 	}
 	spec := service.JobSpec{
-		Experiment:      experiment,
-		Seed:            seed,
-		Scale:           scale,
-		TrialFactor:     trials,
-		Shards:          shards,
-		Workers:         workers,
-		CompressJournal: compress,
+		Experiment:  experiment,
+		Seed:        seed,
+		Scale:       scale,
+		TrialFactor: trials,
+		Shards:      shards,
+		Workers:     workers,
 	}
 	if benches != "" {
 		for _, name := range strings.Split(benches, ",") {

@@ -15,28 +15,20 @@
 //
 //	manifest.json   plan identity: format version, campaign kind, config
 //	                hash, seed, benchmark, slot count, shard coordinates.
-//	                Written atomically (tmp + rename + fsync) before the
+//	                Published atomically (internal/atomicfile) before the
 //	                first trial result.
-//	journal.restj   8-byte magic header, then records. Each record is
-//	                slot(uint32 LE) | len(uint32 LE) | payload | crc32(IEEE,
-//	                over slot+len+payload). Appended in fsync'd batches.
-//
-// The magic's trailing byte selects the framing. 'RSTJRNL1' holds the bare
-// record stream above. 'RSTJRNL2' (Options.Compress) holds the same record
-// stream cut into independently checksummed DEFLATE segments, one per
-// fsync'd batch: plainLen(uint32 LE) | compLen(uint32 LE) | deflate bytes |
-// crc32(IEEE, over both lengths + deflate bytes). Scans read either framing
-// transparently, resume keeps whatever framing the existing file has, and
-// merged output is always written in framing 1 — so the compression toggle
-// never changes recovered payloads or merged bytes.
+//	journal.restj   the 8-byte magic 'RSTJRNL1', then records. Each record
+//	                is slot(uint32 LE) | len(uint32 LE) | payload |
+//	                crc32(IEEE, over slot+len+payload). Appended in fsync'd
+//	                batches. A journal with any other header is corrupt.
 //
 // Crash-consistency guarantees:
 //
 //   - A record is visible iff its checksum verifies. A crash mid-append
-//     leaves a torn tail (a partial final record or segment); Scan detects
-//     it, reports it, and resumable callers truncate it away before
-//     appending — the trials it covered simply re-run. A torn tail is never
-//     silently treated as data.
+//     leaves a torn tail (a partial final record); Scan detects it,
+//     reports it, and resumable callers truncate it away before appending
+//     — the trials it covered simply re-run. A torn tail is never silently
+//     treated as data.
 //   - A checksum mismatch anywhere before the tail means real corruption
 //     (bit rot, concurrent writers, wrong file) and is always a hard error.
 //   - The manifest is written before the journal, atomically, so a journal
@@ -45,7 +37,6 @@ package campaignio
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -57,6 +48,8 @@ import (
 	"slices"
 	"strings"
 	"sync"
+
+	"repro/internal/atomicfile"
 )
 
 // FormatVersion is the current on-disk format version; bumped on any
@@ -69,22 +62,12 @@ const (
 	JournalName  = "journal.restj"
 )
 
-// magic opens every journal file; the trailing byte is the framing version:
-// '1' for the bare record stream, '2' for compressed segments.
-var (
-	magic  = [8]byte{'R', 'S', 'T', 'J', 'R', 'N', 'L', '1'}
-	magic2 = [8]byte{'R', 'S', 'T', 'J', 'R', 'N', 'L', '2'}
-)
+// magic opens every journal file.
+var magic = [8]byte{'R', 'S', 'T', 'J', 'R', 'N', 'L', '1'}
 
 // maxPayload bounds one record's payload so a corrupt length field cannot
 // drive a giant allocation. Trial records are a few hundred bytes.
 const maxPayload = 1 << 20
-
-// maxSegmentPlain bounds one compressed segment's decompressed size, for the
-// same reason maxPayload bounds a record. The writer cuts a new segment
-// before the buffered batch would cross it, so any record that Append
-// accepts always fits.
-const maxSegmentPlain = 1 << 24
 
 // Sentinel errors, matched with errors.Is by callers that distinguish
 // recoverable from fatal journal damage.
@@ -163,13 +146,14 @@ func (m Manifest) SamePlan(o Manifest) error {
 }
 
 // compactJSON normalises raw JSON for comparison: the manifest writer
-// re-indents Aux, so byte equality only holds modulo whitespace.
+// re-indents Aux and escapes HTML characters in it, so byte equality only
+// holds after the same encoding.
 func compactJSON(raw json.RawMessage) string {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, raw); err != nil {
+	data, err := json.Marshal(raw)
+	if err != nil {
 		return string(raw)
 	}
-	return buf.String()
+	return string(data)
 }
 
 // Resumable reports whether a journal written under o can be continued by a
@@ -184,37 +168,14 @@ func (m Manifest) Resumable(o Manifest) error {
 	return nil
 }
 
-// WriteManifest writes the manifest into dir atomically: the bytes land in a
-// temp file, are fsync'd, and are renamed over ManifestName so a crash never
-// leaves a partial manifest. The directory is created if needed.
+// WriteManifest publishes the manifest as dir/ManifestName atomically, so a
+// crash never leaves a partial manifest. The directory is created if needed.
 func WriteManifest(dir string, m Manifest) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return atomicfile.Write(filepath.Join(dir, ManifestName), append(data, '\n'))
 }
 
 // ReadManifest loads dir's manifest.
@@ -333,13 +294,10 @@ func ScanJournal(dir string, slots int) (*ScanResult, error) {
 		return res, nil
 	case err != nil:
 		return nil, err
-	case hdr != magic && hdr != magic2:
+	case hdr != magic:
 		return nil, fmt.Errorf("%w: bad journal magic %q", ErrCorrupt, hdr[:])
 	}
 	res.ValidLen = int64(len(magic))
-	if hdr == magic2 {
-		return scanSegments(f, slots, res)
-	}
 
 	var rec [8]byte
 	for {
@@ -384,131 +342,24 @@ func ScanJournal(dir string, slots int) (*ScanResult, error) {
 	}
 }
 
-// scanSegments continues a scan past a framing-2 header: each segment is
-// verified whole (checksum over the stored lengths and deflate bytes, exact
-// decompressed size), then its plaintext is parsed as the familiar record
-// stream. An incomplete final segment is the torn tail; ValidLen only ever
-// lands on a segment boundary, so a resuming writer appends whole segments.
-func scanSegments(f *os.File, slots int, res *ScanResult) (*ScanResult, error) {
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return res, nil // clean end on a segment boundary
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				res.Torn = true
-				return res, nil
-			}
-			return nil, err
-		}
-		plainLen := binary.LittleEndian.Uint32(hdr[0:4])
-		compLen := binary.LittleEndian.Uint32(hdr[4:8])
-		if plainLen == 0 || plainLen > maxSegmentPlain || compLen == 0 || compLen > maxSegmentPlain {
-			return nil, fmt.Errorf("%w: segment at offset %d: implausible lengths %d/%d",
-				ErrCorrupt, res.ValidLen, plainLen, compLen)
-		}
-		buf := make([]byte, int(compLen)+4)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				res.Torn = true
-				return res, nil
-			}
-			return nil, err
-		}
-		comp := buf[:compLen]
-		sum := binary.LittleEndian.Uint32(buf[compLen:])
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:])
-		crc.Write(comp)
-		if sum != crc.Sum32() {
-			return nil, fmt.Errorf("%w: segment at offset %d: checksum mismatch", ErrCorrupt, res.ValidLen)
-		}
-		zr := flate.NewReader(bytes.NewReader(comp))
-		plain, err := io.ReadAll(io.LimitReader(zr, int64(plainLen)+1))
-		zr.Close()
-		if err != nil || len(plain) != int(plainLen) {
-			return nil, fmt.Errorf("%w: segment at offset %d: decompressed %d bytes, want %d",
-				ErrCorrupt, res.ValidLen, len(plain), plainLen)
-		}
-		recs, err := parseRecords(plain, slots, res.ValidLen)
-		if err != nil {
-			return nil, err
-		}
-		res.Records = append(res.Records, recs...)
-		res.ValidLen += int64(len(hdr)) + int64(len(buf))
-	}
-}
-
-// parseRecords decodes a run of framing-1 records from a verified segment's
-// plaintext. The segment checksum already proved the bytes intact, so any
-// framing damage here is corruption, never a torn tail.
-func parseRecords(data []byte, slots int, segOff int64) ([]Record, error) {
-	var recs []Record
-	for len(data) > 0 {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("%w: segment at offset %d: truncated record header", ErrCorrupt, segOff)
-		}
-		slot := binary.LittleEndian.Uint32(data[0:4])
-		length := binary.LittleEndian.Uint32(data[4:8])
-		if length > maxPayload || len(data) < 8+int(length)+4 {
-			return nil, fmt.Errorf("%w: segment at offset %d: impossible record length %d",
-				ErrCorrupt, segOff, length)
-		}
-		payload := data[8 : 8+length]
-		sum := binary.LittleEndian.Uint32(data[8+length:])
-		crc := crc32.NewIEEE()
-		crc.Write(data[:8])
-		crc.Write(payload)
-		if sum != crc.Sum32() {
-			return nil, fmt.Errorf("%w: segment at offset %d: record checksum mismatch", ErrCorrupt, segOff)
-		}
-		if int(slot) >= slots {
-			return nil, fmt.Errorf("%w: segment at offset %d: slot %d outside plan of %d",
-				ErrCorrupt, segOff, slot, slots)
-		}
-		recs = append(recs, Record{Slot: int(slot), Payload: payload})
-		data = data[8+length+4:]
-	}
-	return recs, nil
-}
-
 // Writer appends checksummed records to a journal in fsync'd batches. It is
 // safe for concurrent use: campaign workers append trial results as they
 // finish. A crash between flushes loses at most the unflushed batch, whose
 // trials simply re-run on resume.
 type Writer struct {
-	mu       sync.Mutex
-	f        *os.File
-	buf      []byte
-	pending  int
-	batch    int
-	compress bool
-	flushes  int64
-	closed   bool
-}
-
-// Options configures a journal writer beyond the defaults.
-type Options struct {
-	// Batch is the number of records per fsync (minimum 1).
-	Batch int
-	// Compress selects the framing-2 compressed-segment encoding for a
-	// fresh journal: each fsync'd batch is deflated into one checksummed
-	// segment. Resuming an existing journal keeps the file's own framing
-	// regardless, so a campaign can toggle compression between runs.
-	Compress bool
+	mu      sync.Mutex
+	f       *os.File
+	buf     []byte
+	pending int
+	batch   int
+	flushes int64
+	closed  bool
 }
 
 // OpenWriter opens dir's journal for appending at validLen (from a prior
 // ScanJournal; 0 for a fresh journal), truncating any torn tail beyond it.
 // batch is the number of records per fsync (minimum 1).
 func OpenWriter(dir string, validLen int64, batch int) (*Writer, error) {
-	return OpenWriterWith(dir, validLen, Options{Batch: batch})
-}
-
-// OpenWriterWith is OpenWriter with the full option set.
-func OpenWriterWith(dir string, validLen int64, opts Options) (*Writer, error) {
-	batch := opts.Batch
 	if batch < 1 {
 		batch = 1
 	}
@@ -516,37 +367,24 @@ func OpenWriterWith(dir string, validLen int64, opts Options) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Writer{f: f, batch: batch, compress: opts.Compress}
 	if validLen < int64(len(magic)) {
-		// Fresh (or header-torn) journal: start over with a clean header
-		// in the requested framing.
-		hdr := magic
-		if opts.Compress {
-			hdr = magic2
-		}
+		// Fresh (or header-torn) journal: start over with a clean header.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if _, err := f.Write(hdr[:]); err != nil {
+		if _, err := f.Write(magic[:]); err != nil {
 			f.Close()
 			return nil, err
 		}
 	} else {
-		// An existing journal's own header decides the framing appended
-		// records use — mixing framings within one file would make half
-		// the records unreadable.
+		// Records appended behind a foreign header would be unreadable.
 		var hdr [8]byte
 		if _, err := f.ReadAt(hdr[:], 0); err != nil {
 			f.Close()
 			return nil, err
 		}
-		switch hdr {
-		case magic:
-			w.compress = false
-		case magic2:
-			w.compress = true
-		default:
+		if hdr != magic {
 			f.Close()
 			return nil, fmt.Errorf("%w: bad journal magic %q", ErrCorrupt, hdr[:])
 		}
@@ -564,7 +402,7 @@ func OpenWriterWith(dir string, validLen int64, opts Options) (*Writer, error) {
 		f.Close()
 		return nil, err
 	}
-	return w, nil
+	return &Writer{f: f, batch: batch}, nil
 }
 
 // Append buffers one record; every batch-th record flushes the buffer and
@@ -584,13 +422,6 @@ func (w *Writer) Append(slot int, payload []byte) error {
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("campaignio: append to closed journal")
-	}
-	if w.compress && len(w.buf) > 0 && len(w.buf)+8+len(payload)+4 > maxSegmentPlain {
-		// Records never span segments; cut one early rather than exceed
-		// the scanner's decompression bound.
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
 	}
 	w.buf = append(w.buf, rec[:]...)
 	w.buf = append(w.buf, payload...)
@@ -614,15 +445,7 @@ func (w *Writer) flushLocked() error {
 	if len(w.buf) == 0 {
 		return nil
 	}
-	out := w.buf
-	if w.compress {
-		seg, err := encodeSegment(w.buf)
-		if err != nil {
-			return err
-		}
-		out = seg
-	}
-	if _, err := w.f.Write(out); err != nil {
+	if _, err := w.f.Write(w.buf); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
@@ -632,30 +455,6 @@ func (w *Writer) flushLocked() error {
 	w.pending = 0
 	w.flushes++
 	return nil
-}
-
-// encodeSegment deflates one batch of record bytes into a framing-2 segment.
-// The compression level is fixed, so the stored bytes are a deterministic
-// function of the records alone.
-func encodeSegment(plain []byte) ([]byte, error) {
-	var comp bytes.Buffer
-	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(plain); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	seg := make([]byte, 8, 8+comp.Len()+4)
-	binary.LittleEndian.PutUint32(seg[0:4], uint32(len(plain)))
-	binary.LittleEndian.PutUint32(seg[4:8], uint32(comp.Len()))
-	seg = append(seg, comp.Bytes()...)
-	crc := crc32.NewIEEE()
-	crc.Write(seg)
-	return binary.LittleEndian.AppendUint32(seg, crc.Sum32()), nil
 }
 
 // Flushes returns how many fsync'd batches the writer has committed.
@@ -869,16 +668,4 @@ func firstDiff(a, b []string) string {
 		return a[0]
 	}
 	return min(a[0], b[0])
-}
-
-// syncDir fsyncs a directory so a rename within it is durable. Some
-// platforms cannot fsync directories; those errors are ignored.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

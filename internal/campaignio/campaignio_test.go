@@ -27,7 +27,7 @@ func testManifest(slots, shardIdx, shardCount int) Manifest {
 func payload(slot int) []byte { return []byte(fmt.Sprintf(`{"slot":%d}`, slot)) }
 
 // writeJournal creates a campaign dir with records for the given slots.
-func writeJournal(t *testing.T, dir string, m Manifest, slots []int, batch int) {
+func writeJournal(t testing.TB, dir string, m Manifest, slots []int, batch int) {
 	t.Helper()
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
@@ -212,13 +212,30 @@ func TestJournalChecksumCorruptionIsFatal(t *testing.T) {
 	}
 }
 
+// A foreign header is corruption on scan, merge and reopen alike. The
+// retired compressed framing's header, RSTJRNL2, is one.
 func TestJournalBadMagicAndSlotBounds(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, JournalName), []byte("NOTAJRNL"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ScanJournal(dir, 10); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic: err = %v", err)
+	for _, hdr := range []string{"NOTAJRNL", "RSTJRNL2"} {
+		dir := t.TempDir()
+		writeJournal(t, dir, testManifest(10, 0, 1), []int{0, 1}, 1)
+		path := filepath.Join(dir, JournalName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, hdr)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ScanJournal(dir, 10); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s header: scan err = %v", hdr, err)
+		}
+		if _, _, err := MergeScan([]string{dir}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s header: merge err = %v", hdr, err)
+		}
+		if _, err := OpenWriter(dir, int64(len(data)), 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s header: reopen err = %v", hdr, err)
+		}
 	}
 
 	dir2 := t.TempDir()
@@ -467,5 +484,102 @@ func TestWriterUnflushedBatchNotVisible(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// S1 regression: a slot journalled twice with identical payloads is the
+// benign residue of an interrupted run re-running a batch; merge takes the
+// first copy. Differing payloads for one slot remain a hard error.
+func TestMergeScanDuplicateIdenticalSlotFirstWins(t *testing.T) {
+	root := t.TempDir()
+	d0, d1 := filepath.Join(root, "s0"), filepath.Join(root, "s1")
+	writeJournal(t, d0, testManifest(4, 0, 2), []int{0, 2, 2}, 1)
+	writeJournal(t, d1, testManifest(4, 1, 2), []int{1, 3}, 1)
+	man, payloads, err := MergeScan([]string{d0, d1})
+	if err != nil {
+		t.Fatalf("identical duplicate rejected: %v", err)
+	}
+	if len(payloads) != 4 {
+		t.Fatalf("covered %d slots, want 4", len(payloads))
+	}
+	if man.ShardCount != 1 {
+		t.Fatalf("merged manifest still sharded: %+v", man)
+	}
+	for s, p := range payloads {
+		if !bytes.Equal(p, payload(s)) {
+			t.Fatalf("slot %d payload %q", s, p)
+		}
+	}
+}
+
+func TestMergeScanDuplicateDifferingSlotIsCorrupt(t *testing.T) {
+	root := t.TempDir()
+	d0, d1 := filepath.Join(root, "s0"), filepath.Join(root, "s1")
+	m0 := testManifest(4, 0, 2)
+	if err := WriteManifest(d0, m0); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWriter(d0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		slot int
+		p    []byte
+	}{{0, payload(0)}, {2, payload(2)}, {2, []byte(`{"slot":2,"differs":true}`)}} {
+		if err := w.Append(rec.slot, rec.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, d1, testManifest(4, 1, 2), []int{1, 3}, 1)
+	if _, _, err := MergeScan([]string{d0, d1}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("differing duplicate: got %v, want ErrCorrupt", err)
+	}
+}
+
+// S2 pin: a batch below one clamps to flush-every-record, and a zero-length
+// payload is a legal record that survives the round trip.
+func TestWriterBatchClampAndEmptyPayload(t *testing.T) {
+	dir := t.TempDir()
+	m := testManifest(4, 0, 1)
+	if err := WriteManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWriter(dir, 0, -3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(1, []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(2, payload(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Flushes(); got != 3 {
+		t.Fatalf("%d flushes for 3 appends at clamped batch, want 3", got)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan, err := ScanJournal(dir, m.Slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan.Torn || len(scan.Records) != 3 {
+		t.Fatalf("torn=%v records=%d", scan.Torn, len(scan.Records))
+	}
+	for i := 0; i < 2; i++ {
+		if len(scan.Records[i].Payload) != 0 {
+			t.Fatalf("empty payload came back as %q", scan.Records[i].Payload)
+		}
+	}
+	if !bytes.Equal(scan.Records[2].Payload, payload(2)) {
+		t.Fatal("payload mismatch")
 	}
 }

@@ -39,8 +39,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
+
+	"repro/internal/atomicfile"
 )
 
 // Style selects a frame's on-disk encoding.
@@ -292,56 +293,21 @@ func (w *Writer) Encode(workers int) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFile streams the image to path: frames are compressed in parallel,
-// written in index order to a temp file in the destination directory, fsynced
-// and atomically renamed into place (a crash never leaves a partial image
-// under the final name). The bytes are identical to Encode's.
+// WriteFile writes the image to path: frames are compressed in parallel and
+// published in index order through atomicfile, so a crash never leaves a
+// partial image under the final name. The bytes are identical to Encode's.
 func (w *Writer) WriteFile(path string, workers int) error {
 	frames, err := w.encodeFrames(workers)
 	if err != nil {
 		return err
 	}
 	w.tally(frames)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(layout(frames)); err != nil {
-		tmp.Close()
-		return err
-	}
+	parts := make([][]byte, 0, 1+len(frames))
+	parts = append(parts, layout(frames))
 	for _, ef := range frames {
-		if _, err := tmp.Write(ef.stored); err != nil {
-			tmp.Close()
-			return err
-		}
+		parts = append(parts, ef.stored)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so a completed rename is durable. Best-effort:
-// some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	return atomicfile.Write(path, parts...)
 }
 
 // frameInfo is one parsed directory entry plus its absolute file offset.

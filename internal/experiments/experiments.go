@@ -69,10 +69,6 @@ type Options struct {
 	// warm-up boundary, later runs restore it instead of re-executing the
 	// warm-up. Results are byte-identical either way.
 	GoldenImageRoot string
-	// CompressJournal selects the compressed-segment journal framing for
-	// fresh campaign journals (no effect without CampaignRoot; an existing
-	// journal keeps the framing it was created with).
-	CompressJournal bool
 	// Interrupt, if non-nil, stops every campaign at the next trial
 	// boundary once the channel is closed. Durable campaigns drain and
 	// flush their journal first; the experiment then returns an error
@@ -88,7 +84,6 @@ func (o Options) exec(id string) inject.Exec {
 	if o.CampaignRoot != "" {
 		x.ResumeFrom = filepath.Join(o.CampaignRoot, id)
 		x.ShardIndex, x.ShardCount = o.ShardIndex, o.ShardCount
-		x.CompressJournal = o.CompressJournal
 	}
 	if o.GoldenImageRoot != "" {
 		x.GoldenImage = filepath.Join(o.GoldenImageRoot, id+".golden")

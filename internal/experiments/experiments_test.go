@@ -228,13 +228,12 @@ func TestAblateCheckpoints(t *testing.T) {
 }
 
 // TestDurabilityOptionThreading pins the Options→campaign-config plumbing:
-// golden-image paths, journal compression and shard assignment must reach
-// both campaign kinds, and golden images must not require a CampaignRoot.
+// golden-image paths and shard assignment must reach both campaign kinds,
+// and golden images must not require a CampaignRoot.
 func TestDurabilityOptionThreading(t *testing.T) {
 	o := Options{
 		CampaignRoot:    "root",
 		GoldenImageRoot: "golden",
-		CompressJournal: true,
 		ShardIndex:      1,
 		ShardCount:      3,
 	}
@@ -243,7 +242,7 @@ func TestDurabilityOptionThreading(t *testing.T) {
 	if vm.ResumeFrom != filepath.Join("root", vmID) {
 		t.Errorf("vm ResumeFrom = %q", vm.ResumeFrom)
 	}
-	if !vm.CompressJournal || vm.ShardIndex != 1 || vm.ShardCount != 3 {
+	if vm.ShardIndex != 1 || vm.ShardCount != 3 {
 		t.Errorf("vm durability options not threaded: %+v", vm)
 	}
 	if vm.GoldenImage != filepath.Join("golden", vmID+".golden") {
@@ -254,7 +253,7 @@ func TestDurabilityOptionThreading(t *testing.T) {
 	if ua.ResumeFrom != filepath.Join("root", uaID) {
 		t.Errorf("uarch ResumeFrom = %q", ua.ResumeFrom)
 	}
-	if !ua.CompressJournal || ua.ShardIndex != 1 || ua.ShardCount != 3 {
+	if ua.ShardIndex != 1 || ua.ShardCount != 3 {
 		t.Errorf("uarch durability options not threaded: %+v", ua)
 	}
 	if ua.GoldenImage != filepath.Join("golden", uaID+".golden") {
@@ -265,10 +264,6 @@ func TestDurabilityOptionThreading(t *testing.T) {
 	solo := Options{GoldenImageRoot: "g"}.exec(inject.VMConfig{Bench: workload.MCF}.CampaignID())
 	if solo.GoldenImage == "" || solo.ResumeFrom != "" {
 		t.Errorf("golden-only threading wrong: %+v", solo)
-	}
-	// CompressJournal without a CampaignRoot is inert — there is no journal.
-	if noRoot := (Options{CompressJournal: true}).exec(inject.VMConfig{}.CampaignID()); noRoot.CompressJournal {
-		t.Error("CompressJournal leaked without CampaignRoot")
 	}
 }
 

@@ -74,12 +74,6 @@ type Exec struct {
 	// that produced it; loading a mismatched image is an error.
 	GoldenImage string
 
-	// CompressJournal selects the compressed-segment journal framing
-	// (campaignio format RSTJRNL2) for newly created journals. Existing
-	// journals keep their own framing on resume, and merged output is
-	// identical either way.
-	CompressJournal bool
-
 	// Interrupt, if non-nil, stops the campaign cleanly when it becomes
 	// readable: in-flight trials drain, the journal tail is flushed, and the
 	// run returns ErrInterrupted.
@@ -183,7 +177,7 @@ func run[T trialRecord](spec campaignSpec, x Exec, m faultModel[T]) ([]T, error)
 	done := make([]bool, len(trials))
 	if x.ResumeFrom != "" {
 		var loaded [][]byte
-		if jr, loaded, err = openCampaignJournal(x.ResumeFrom, man, x.CompressJournal); err != nil {
+		if jr, loaded, err = openCampaignJournal(x.ResumeFrom, man); err != nil {
 			return nil, err
 		}
 		for slot, p := range loaded {

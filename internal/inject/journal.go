@@ -153,10 +153,8 @@ type campaignJournal struct {
 // openCampaignJournal opens (or creates) the campaign directory, validates
 // its manifest against the live plan, scans the journal — truncating a torn
 // tail, failing hard on any other corruption — and returns the journal plus
-// the recovered payloads indexed by slot (nil where missing). compress
-// selects the compressed-segment journal framing for a freshly created
-// journal (an existing journal keeps its own framing).
-func openCampaignJournal(dir string, want campaignio.Manifest, compress bool) (*campaignJournal, [][]byte, error) {
+// the recovered payloads indexed by slot (nil where missing).
+func openCampaignJournal(dir string, want campaignio.Manifest) (*campaignJournal, [][]byte, error) {
 	if campaignio.HasManifest(dir) {
 		have, err := campaignio.ReadManifest(dir)
 		if err != nil {
@@ -192,10 +190,7 @@ func openCampaignJournal(dir string, want campaignio.Manifest, compress bool) (*
 		loaded[rec.Slot] = rec.Payload
 		distinct++
 	}
-	w, err := campaignio.OpenWriterWith(dir, scan.ValidLen, campaignio.Options{
-		Batch:    journalBatch,
-		Compress: compress,
-	})
+	w, err := campaignio.OpenWriter(dir, scan.ValidLen, journalBatch)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -252,9 +252,9 @@ func TestResumeRepairsTornTail(t *testing.T) {
 	sameUArchResults(t, "torn-tail resume", oneShot, resumed)
 }
 
-// TestResumeRefusesCorruption flips a byte in the middle of the journal:
-// resumption must fail with ErrCorrupt, never silently re-run or accept the
-// damaged record.
+// TestResumeRefusesCorruption flips a byte in the middle of a µarch journal
+// and gives a VM journal a foreign header: resumption must fail with
+// ErrCorrupt, never silently re-run or accept the damaged records.
 func TestResumeRefusesCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	cfg := resumeUArch(workload.Gzip)
@@ -273,6 +273,84 @@ func TestResumeRefusesCorruption(t *testing.T) {
 	}
 	if _, err := RunUArch(cfg); !errors.Is(err, campaignio.ErrCorrupt) {
 		t.Fatalf("corrupted journal resumed with err = %v, want ErrCorrupt", err)
+	}
+
+	// RSTJRNL2 is the header of the retired compressed framing.
+	vcfg := resumeVM(workload.Gzip)
+	vcfg.ResumeFrom = filepath.Join(t.TempDir(), "campaign")
+	if _, err := RunVM(vcfg); err != nil {
+		t.Fatal(err)
+	}
+	jpath = filepath.Join(vcfg.ResumeFrom, campaignio.JournalName)
+	if data, err = os.ReadFile(jpath); err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "RSTJRNL2")
+	if err := os.WriteFile(jpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunVM(vcfg); !errors.Is(err, campaignio.ErrCorrupt) {
+		t.Fatalf("RSTJRNL2 journal resumed with err = %v, want ErrCorrupt", err)
+	}
+}
+
+// S1 regression (recovery site): a journal holding one slot twice with
+// identical payloads — the residue of a crash after fsync but before the
+// in-memory scan position advanced — must resume cleanly, first copy wins.
+// The same slot with differing payloads stays ErrCorrupt.
+func TestResumeRecoversDuplicateIdenticalSlots(t *testing.T) {
+	bench := workload.Gzip
+	oneShot, err := RunUArch(resumeUArch(bench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "campaign")
+	cfg := resumeUArch(bench)
+	cfg.ResumeFrom = dir
+	if _, err := RunUArch(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-append an exact copy of an already-journalled record.
+	scan, err := campaignio.ScanJournal(dir, len(oneShot.Trials))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := scan.Records[3]
+	w, err := campaignio.OpenWriter(dir, scan.ValidLen, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(dup.Slot, dup.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := RunUArch(cfg)
+	if err != nil {
+		t.Fatalf("identical duplicate slot rejected on resume: %v", err)
+	}
+	sameUArchResults(t, "duplicate-slot resume", oneShot, resumed)
+
+	// Now append the same slot with different bytes: that is corruption.
+	scan, err = campaignio.ScanJournal(dir, len(oneShot.Trials))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err = campaignio.OpenWriter(dir, scan.ValidLen, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(dup.Slot, []byte(`{"forged":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunUArch(cfg); !errors.Is(err, campaignio.ErrCorrupt) {
+		t.Fatalf("differing duplicate slot resumed with err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -78,9 +78,6 @@ type JobSpec struct {
 	// Workers is the per-shard engine goroutine count (0 = serial).
 	// Inert: results are byte-identical at any worker count.
 	Workers int `json:"workers,omitempty"`
-	// CompressJournal selects compressed-segment framing for fresh shard
-	// journals. Inert: the merged journal is always bare framing.
-	CompressJournal bool `json:"compress_journal,omitempty"`
 }
 
 // maxShardsPerJob bounds a single job's shard fan-out; the global pool bound

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -363,6 +364,54 @@ func TestStoreSkipsUncommittedJobDirs(t *testing.T) {
 	}
 	if id != "job-000002" {
 		t.Fatalf("nextID = %s, want job-000002", id)
+	}
+}
+
+// A job.json written before a JobSpec field was retired still loads: only
+// the submit decoder refuses unknown fields.
+func TestStoreLoadsRetiredSpecFields(t *testing.T) {
+	st, err := newStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("newStore: %v", err)
+	}
+	const id = "job-000001"
+	if err := os.MkdirAll(st.jobDir(id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	record := `{"id":"job-000001","spec":{"experiment":"fig2","shards":2,"compress_journal":true},"state":"queued"}`
+	if err := os.WriteFile(st.jobFile(id), []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := st.loadJob(id)
+	if err != nil {
+		t.Fatalf("loadJob: %v", err)
+	}
+	if j.State != StateQueued || j.Spec.Experiment != "fig2" || j.Spec.Shards != 2 {
+		t.Fatalf("loaded %+v", j)
+	}
+}
+
+// When a job record cannot be saved the job fails, and its error names the
+// state the daemon meant to persist.
+func TestFinishJobNamesUnsavedState(t *testing.T) {
+	st, err := newStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("newStore: %v", err)
+	}
+	const id = "job-000001"
+	// A regular file where the job's directory belongs fails every save.
+	if err := os.WriteFile(st.jobDir(id), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := &Service{
+		cfg:     Config{Obs: obs.NewRegistry(), Logf: t.Logf},
+		st:      st,
+		jobs:    map[string]*Job{id: {ID: id, Spec: tinySpec("gzip"), State: StateRunning}},
+		cancels: map[string]chan struct{}{},
+	}
+	s.finishJob(id, make(chan struct{}), nil, true) // daemon shutdown: re-queue
+	if j := s.jobs[id]; j.State != StateFailed || !strings.Contains(j.Error, "persisting queued state") {
+		t.Fatalf("job is %s with error %q, want failed persisting the queued state", j.State, j.Error)
 	}
 }
 

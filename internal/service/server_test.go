@@ -94,16 +94,21 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal("cancel of a missing job succeeded")
 	}
 
-	// Unknown spec fields are rejected — a misspelled field must not submit
-	// a silently different campaign.
-	resp, err := http.Post(cl.url("/api/v1/jobs"), "application/json",
-		strings.NewReader(`{"experiment":"fig2","trails":0.5}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown-field submit: status %d, want 400", resp.StatusCode)
+	// Unknown spec fields are rejected — a misspelled field, or one a
+	// retired option used to take, must not submit a silently different
+	// campaign.
+	for _, body := range []string{
+		`{"experiment":"fig2","trails":0.5}`,
+		`{"experiment":"fig2","compress_journal":true}`,
+	} {
+		resp, err := http.Post(cl.url("/api/v1/jobs"), "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown-field submit %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 
 	spec, err := json.Marshal(tinySpec("gzip"))

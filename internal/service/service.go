@@ -368,7 +368,6 @@ func (s *Service) shardOptions(id string, spec JobSpec, k int, stop <-chan struc
 		ShardIndex:      k,
 		ShardCount:      spec.Shards,
 		GoldenImageRoot: s.st.goldenRoot(),
-		CompressJournal: spec.CompressJournal,
 		Interrupt:       stop,
 		Obs:             s.cfg.Obs,
 		Progress: func(done, total int) {
@@ -419,10 +418,14 @@ func (s *Service) finishJob(id string, cancel chan struct{}, runErr error, stopp
 		j.Finished = &now
 		s.logf("job %s: done (%d campaigns merged)", id, len(campaigns))
 	}
-	if err := s.st.saveJob(j); err != nil && j.State != StateFailed {
-		j.State = StateFailed
-		j.Error = fmt.Sprintf("persisting %s state: %v", j.State, err)
-		_ = s.st.saveJob(j)
+	if err := s.st.saveJob(j); err != nil {
+		msg := fmt.Sprintf("persisting %s state: %v", j.State, err)
+		s.logf("job %s: %s", id, msg)
+		if j.State != StateFailed {
+			j.State = StateFailed
+			j.Error = msg
+			_ = s.st.saveJob(j)
+		}
 	}
 	s.publishMetricsLocked()
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // store is the service root's on-disk layout. Everything the daemon must
@@ -20,9 +22,9 @@ import (
 //	<root>/golden/                 golden images shared across jobs
 //	<root>/serve.addr              the listening address, for clients
 //
-// job.json follows the same atomic temp+fsync+rename discipline as campaign
-// manifests: a crash never leaves a partial record, so restart recovery
-// always reads either the old state or the new one.
+// job.json is published through atomicfile, as campaign manifests are: a
+// crash never leaves a partial record, so restart recovery always reads
+// either the old state or the new one.
 type store struct {
 	root string
 }
@@ -55,34 +57,11 @@ func (s *store) shardRoot(id string, k int) string {
 
 // saveJob persists a job record atomically and durably.
 func (s *store) saveJob(j *Job) error {
-	dir := s.jobDir(j.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	data, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "job.json.tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.jobFile(j.ID)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return atomicfile.Write(s.jobFile(j.ID), append(data, '\n'))
 }
 
 // loadJob reads one job record.
@@ -172,16 +151,4 @@ func ReadAddr(root string) (string, error) {
 		return "", fmt.Errorf("service: no daemon address under %s (is `restore-sim serve` running?): %w", root, err)
 	}
 	return strings.TrimSpace(string(data)), nil
-}
-
-// syncDir fsyncs a directory so a rename within it is durable; platforms
-// that cannot fsync directories are tolerated.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
 }

@@ -64,9 +64,9 @@ func writeFramesUnsynced(path string, frames [][]byte) error {
 	return os.Rename(tmp.Name(), path) // want "without an earlier Sync"
 }
 
-// scanSegmentsNoCRC decompresses and trusts segment bytes without verifying
-// the segment checksum first.
-func scanSegmentsNoCRC(f *os.File) ([]Record, error) {
+// scanRecordsNoCRC trusts record bytes read from an open file without
+// verifying a checksum first.
+func scanRecordsNoCRC(f *os.File) ([]Record, error) {
 	var out []Record
 	var hdr [8]byte
 	for {

@@ -96,9 +96,9 @@ func scan(path string) ([]Record, error) {
 	}
 }
 
-// writeFrames mirrors the ckptio container write path: a header plus
-// per-frame payloads written to a temp file in a loop, fsynced, closed,
-// and atomically renamed into place.
+// writeFrames mirrors the atomic-publish path golden images take: a header
+// plus per-frame payloads written to a temp file in a loop, fsynced,
+// closed, and atomically renamed into place.
 func writeFrames(path string, header []byte, frames [][]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
@@ -126,10 +126,9 @@ func writeFrames(path string, header []byte, frames [][]byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// scanSegments mirrors the compressed-journal read path: each segment's CRC
-// covers its header and compressed body and is verified before anything is
-// decompressed or trusted.
-func scanSegments(f *os.File) ([]Record, error) {
+// scanRecords mirrors the journal read path: each record's CRC covers its
+// header and payload and is verified before the record is trusted.
+func scanRecords(f *os.File) ([]Record, error) {
 	var out []Record
 	var hdr [8]byte
 	for {

@@ -13,8 +13,8 @@
 //	               allocation-free in steady state
 //	goroutineshare goroutines share mutable state only through sync
 //	               primitives or the pre-assigned indexed-slot idiom
-//	durableio      campaignio fsyncs before publishing and CRC-checks
-//	               before trusting records
+//	durableio      campaignio and atomicfile fsync before publishing;
+//	               campaignio CRC-checks before trusting records
 //
 // Usage:
 //
@@ -64,7 +64,7 @@ var scopes = map[*lint.Analyzer][]string{
 		"internal/inject", "internal/campaignio", "internal/experiments",
 		"internal/obs", "internal/restore",
 	},
-	analyzers.DurableIO: {"internal/campaignio"},
+	analyzers.DurableIO: {"internal/campaignio", "internal/atomicfile"},
 }
 
 // order fixes the reporting order of analyzers within a package.

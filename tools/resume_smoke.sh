@@ -10,9 +10,9 @@
 #      full journal recovery — the diff still must hold);
 #   3. two shards merged with `restore-sim merge` and rerun from the merged
 #      directory print byte-identical output to a one-shot run;
-#   4. golden-image shards with compressed journals, one killed by SIGTERM
-#      and resumed, merge to the same byte-identical output — the full
-#      warm-start durability stack in one scenario;
+#   4. golden-image shards, one killed by SIGTERM and resumed, merge to the
+#      same byte-identical output — the full warm-start durability stack in
+#      one scenario;
 #   5. a second SIGTERM mid-drain forces an immediate exit with the journal
 #      flushed, and the resume still matches byte for byte;
 #   6. the service daemon SIGKILLed mid-job restarts, auto-resumes, and
@@ -59,11 +59,11 @@ $sim -out "$workdir/merged" merge "$workdir/s1" "$workdir/s2"
 $sim $args -out "$workdir/merged" fig4 >"$workdir/merged.txt"
 diff "$workdir/golden.txt" "$workdir/merged.txt"
 
-echo "== golden-image shards + compressed journals, one killed, merged"
+echo "== golden-image shards, one killed, merged"
 # Shard 1 writes the golden image; shard 2 restores it. Shard 2 is killed
 # mid-campaign and resumed (same flags), then the shards merge; the rerun
 # from the merged directory must match the one-shot baseline byte for byte.
-gargs="$killargs -golden-image $workdir/golden-images -compress-journal"
+gargs="$killargs -golden-image $workdir/golden-images"
 $sim $gargs -out "$workdir/g1" -shard 1/2 fig4 >/dev/null
 [ -n "$(ls "$workdir/golden-images"/*.golden 2>/dev/null)" ] || {
 	echo "no golden image written" >&2
