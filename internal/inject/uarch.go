@@ -182,7 +182,11 @@ type uarchPick struct {
 // ErrInterrupted.
 func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	cfg.applyDefaults()
-	m, err := newUArchModel(&cfg)
+	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
+	if err != nil {
+		return nil, err
+	}
+	m, err := newUArchModel(&cfg, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -224,11 +228,7 @@ type uarchModel struct {
 	goldenCycles *obs.Counter // cycles recordGolden simulated
 }
 
-func newUArchModel(cfg *UArchConfig) (*uarchModel, error) {
-	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
-	if err != nil {
-		return nil, err
-	}
+func newUArchModel(cfg *UArchConfig, prog *workload.Program) (*uarchModel, error) {
 	mem, err := prog.NewMemory()
 	if err != nil {
 		return nil, err
