@@ -2,6 +2,7 @@ package inject
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,13 +34,15 @@ func TestCampaignMetricsInert(t *testing.T) {
 		if got := reg.Counter("campaign_uarch_points_total").Value(); got != int64(cfg.Points) {
 			t.Errorf("points_total = %d, want %d", got, cfg.Points)
 		}
-		// Every point records its own golden window plus 25% slack.
+		// The points share one golden log: the recorder simulates each
+		// cycle of the union of the points' spans (P, P + W + W/4] once.
 		w := cfg.WindowCycles
-		if got, want := reg.Counter("campaign_uarch_golden_cycles_total").Value(), int64(uint64(cfg.Points)*(w+w/4)); got != want {
+		if got, want := reg.Counter("campaign_uarch_golden_cycles_total").Value(), spanUnion(instrumented.Trials, w+w/4); got != want {
 			t.Errorf("golden_cycles_total = %d, want %d", got, want)
 		}
 		// The master pipeline carries the instrumentation through warm-up
-		// and golden recording, so the occupancy histograms must be live.
+		// and the walk between points, so the occupancy histograms must be
+		// live.
 		if m, ok := reg.Snapshot().Get("pipeline_rob_occupancy"); !ok || m.Count == 0 {
 			t.Error("pipeline occupancy histogram empty on instrumented campaign")
 		}
@@ -71,6 +74,26 @@ func TestCampaignMetricsInert(t *testing.T) {
 			t.Errorf("golden_insts_total = %d, want in (0, %d)", got, limit)
 		}
 	})
+}
+
+// spanUnion counts the cycles in the union of (P, P+span] over the distinct
+// PointCycle values P of trials.
+func spanUnion(trials []UArchTrial, span uint64) int64 {
+	var points []uint64
+	for _, t := range trials {
+		points = append(points, t.PointCycle)
+	}
+	slices.Sort(points)
+	points = slices.Compact(points)
+	var n uint64
+	for i, p := range points {
+		if i+1 < len(points) {
+			n += min(span, points[i+1]-p)
+		} else {
+			n += span
+		}
+	}
+	return int64(n)
 }
 
 // assertCampaignAccounting checks the invariants every finished campaign's

@@ -135,9 +135,11 @@ func (r *UArchResult) Distribution(interval uint64, det Detector) map[string]flo
 	return UArchDistribution(r.Trials, interval, det).Fraction
 }
 
-// goldenTrace is the recorded golden continuation at one injection point.
-type goldenTrace struct {
-	commits []pipeline.CommitEvent
+// uarchGolden is one point's golden continuation, a view of the campaign's
+// golden log: the commits and conditional mispredictions of the point's span,
+// and an index of the state digests its trials can match.
+type uarchGolden struct {
+	commits []goldenCommit
 	// hashAt maps a state digest to the first cycle (relative to the
 	// point) it occurred at, enabling masked detection even when the
 	// faulty run lags the golden by a few cycles of timing skew.
@@ -148,6 +150,15 @@ type goldenTrace struct {
 	// control-flow symptoms (the paper classifies cfv as faults that
 	// CAUSED incorrect control flow).
 	mispredicts []mispRec
+}
+
+// goldenCommit is what a trial compares of one golden commit: 64 bytes,
+// against pipeline.CommitEvent's 112.
+type goldenCommit struct {
+	pc, target, destVal, memAddr, storeVal uint64
+	inst                                   isa.Inst
+	isBranch, taken, hasDest, isStore      bool
+	destArch                               isa.Reg
 }
 
 type mispRec struct {
@@ -162,16 +173,19 @@ type uarchPick struct {
 	isLatch bool
 }
 
-// RunUArch executes the campaign: warm up, fork a golden pipeline at each
-// injection point, record its continuation, then run TrialsPerPoint
-// corrupted clones against it — serially, or fanned out across cfg.Workers
-// goroutines with bit-identical results (all bit picks are pre-drawn on the
-// dispatching goroutine; each trial fills a pre-assigned result slot).
+// RunUArch executes the campaign: warm up, walk the golden pipeline from
+// injection point to injection point, and at each run TrialsPerPoint
+// corrupted clones against the golden continuation. A fork of the golden
+// pipeline runs ahead of it and logs that continuation once for the whole
+// campaign. Trials run serially, or fanned out across cfg.Workers goroutines
+// with bit-identical results (all bit picks are pre-drawn on the dispatching
+// goroutine; each trial fills a pre-assigned result slot).
 //
-// If the golden pipeline stops during warm-up or before an injection point
-// (a short workload at small Scale ends before the spread is exhausted),
-// the remaining points are truncated and the partial result is returned
-// with TotalBits and the completed Trials populated.
+// If the golden pipeline halts during warm-up, before an injection point or
+// inside a point's golden span (a short workload at small Scale ends before
+// the spread is exhausted), the remaining points are truncated and the
+// partial result is returned with TotalBits and the completed Trials
+// populated.
 //
 // With ResumeFrom set the campaign is durable: completed trials are
 // journalled and recovered on the next run (see the package comment in
@@ -222,10 +236,33 @@ type uarchModel struct {
 	offsets []uint64    // injection points, cycles past warm-up, ascending
 	picks   []uarchPick // per slot
 	base    uint64      // cycle the master has reached
-	trace   *goldenTrace
+	point   int         // the point the master was last walked to
+	golden  *uarchGolden
 	pool    *forkPool[*pipeline.Pipeline]
 
-	goldenCycles *obs.Counter // cycles recordGolden simulated
+	// The recorder steps a fork of the master forward only and logs the
+	// golden run once for the whole campaign. The dispatcher appends to the
+	// log while workers read earlier views of it, so a log is never
+	// truncated or reused, only replaced by a fresh one.
+	rec          *pipeline.Pipeline
+	log          *goldenLog
+	goldenCycles *obs.Counter // cycles the recorder simulated
+}
+
+// goldenLog is the golden run from cycle base on: per cycle, the state digest
+// and the counts of commits and conditional mispredictions logged before it,
+// and those two event streams.
+type goldenLog struct {
+	base    uint64
+	cycles  []logCycle // cycles[k] is the state at cycle base+k
+	commits []goldenCommit
+	misps   []mispRec
+}
+
+// logCycle is one logged golden cycle: 16 bytes.
+type logCycle struct {
+	digest         uint64
+	commits, misps uint32
 }
 
 func newUArchModel(cfg *UArchConfig, prog *workload.Program) (*uarchModel, error) {
@@ -246,9 +283,9 @@ func newUArchModel(cfg *UArchConfig, prog *workload.Program) (*uarchModel, error
 		// read-only (Clone/ResetFrom propagate the pointer).
 		m.master.SetDecodeCache(isa.NewDecodeCache(prog.CodeBase, prog.Code))
 	}
-	// Per-stage counters and occupancy histograms track the master (warm-up
-	// walk + golden recording); per-trial clones never inherit the
-	// attachment (Clone/ResetFrom drop it).
+	// Per-stage counters and occupancy histograms track the master (the
+	// warm-up and the walk from point to point); the golden recorder and the
+	// per-trial clones never inherit the attachment (Clone/ResetFrom drop it).
 	m.master.AttachObs(cfg.Obs, "pipeline")
 	m.space = m.master.State()
 	if m.protMap, err = cfg.Policy.Compile(m.space); err != nil {
@@ -296,6 +333,7 @@ func (m *uarchModel) saveImage(path string, workers int) (ckptio.Stats, error) {
 }
 
 func (m *uarchModel) advance(i int) (bool, error) {
+	m.point = i
 	if target := m.cfg.WarmupCycles + m.offsets[i]; target > m.base {
 		m.master.RunCycles(target - m.base)
 		m.base = target
@@ -303,12 +341,140 @@ func (m *uarchModel) advance(i int) (bool, error) {
 	return m.master.Status() == pipeline.StatusRunning, nil
 }
 
-// record runs on the dispatching goroutine; the master cannot be shared with
-// in-flight trials.
+// span is how far past its point a golden continuation is logged: the window
+// with 25% slack, so a faulty run that gets slightly ahead still has golden
+// events to compare against.
+func (m *uarchModel) span() uint64 { return m.cfg.WindowCycles + m.cfg.WindowCycles/4 }
+
+// record gives the point its view of the golden log, extending the log to the
+// end of the point's span. record runs on the dispatching goroutine, while
+// trials of earlier points may still read their views. The log only ever
+// reaches the end of the current point's span, so a halt is first seen by the
+// same point as if every span were recorded on its own.
 func (m *uarchModel) record() (bool, error) {
-	trace, err := recordGolden(m.master, m.cfg.WindowCycles, m.goldenCycles)
-	m.trace = trace
-	return trace != nil, err
+	start := m.master.Cycles()
+	switch {
+	case m.rec == nil || m.rec.Cycles() < start:
+		m.forkRecorder(start)
+	case start-m.log.base > m.span():
+		m.moveLog(start)
+	}
+	from := m.rec.Cycles()
+	ok, err := m.extendLog(start + m.span())
+	m.goldenCycles.Add(int64(m.rec.Cycles() - from))
+	if !ok {
+		return false, err
+	}
+	m.golden = m.log.view(start, m.cfg.WindowCycles, m.span())
+	return true, nil
+}
+
+// forkRecorder starts a recorder at the master's position — at the first
+// recorded point, or at one that starts past the log's last cycle — with a
+// fresh log. The old log is left to the trials still reading it.
+func (m *uarchModel) forkRecorder(start uint64) {
+	m.rec = m.master.Clone()
+	m.rec.CommitHook = func(ev pipeline.CommitEvent) {
+		m.log.commits = append(m.log.commits, goldenCommit{
+			pc: ev.PC, target: ev.Target, destVal: ev.DestVal, memAddr: ev.MemAddr, storeVal: ev.StoreVal,
+			inst: ev.Inst, isBranch: ev.IsBranch, taken: ev.Taken, hasDest: ev.HasDest, isStore: ev.IsStore,
+			destArch: ev.DestArch,
+		})
+	}
+	m.rec.BranchHook = func(ev pipeline.BranchEvent) {
+		if ev.IsCond && ev.Mispredicted {
+			m.log.misps = append(m.log.misps, mispRec{pc: ev.PC, taken: ev.ActualTaken, highConf: ev.HighConf})
+		}
+	}
+	m.log = m.newLog(start)
+	m.log.cycles = append(m.log.cycles, logCycle{digest: m.rec.State().Hash()})
+}
+
+// moveLog copies the log's live suffix, from the point at start on, into a
+// fresh log, where the recorder appends from now on. No later point reads
+// before start, so the live log stays within about two spans; the old log is
+// left to the trials still reading it.
+func (m *uarchModel) moveLog(start uint64) {
+	old := m.log
+	s := start - old.base
+	at := old.cycles[s]
+	m.log = m.newLog(start)
+	for _, c := range old.cycles[s:] {
+		m.log.cycles = append(m.log.cycles, logCycle{digest: c.digest, commits: c.commits - at.commits, misps: c.misps - at.misps})
+	}
+	m.log.commits = append(m.log.commits, old.commits[at.commits:]...)
+	m.log.misps = append(m.log.misps, old.misps[at.misps:]...)
+}
+
+// newLog returns an empty log based at start, sized from the plan. It holds
+// every cycle up to the end of the span of the last point that starts within
+// one span of start: a point after that forks or moves to a fresh log. Its
+// event streams are sized at the master's commit and misprediction rates so
+// far, with an eighth to spare; outgrowing them costs one reallocation and
+// stays correct, since views keep the old arrays.
+func (m *uarchModel) newLog(start uint64) *goldenLog {
+	end := start + m.span()
+	for _, off := range m.offsets[m.point:] {
+		p := m.cfg.WarmupCycles + off
+		if p > start+m.span() {
+			break
+		}
+		end = p + m.span()
+	}
+	n := end - start + 1
+	st := m.master.Stats()
+	events := func(k uint64) uint64 {
+		e := n * k / max(st.Cycles, 1)
+		return e + e/8
+	}
+	return &goldenLog{
+		base:    start,
+		cycles:  make([]logCycle, 0, n),
+		commits: make([]goldenCommit, 0, events(st.Retired)),
+		misps:   make([]mispRec, 0, events(st.CondMispredicts)),
+	}
+}
+
+// extendLog steps the recorder up to cycle end, logging every cycle. As at
+// every golden point, a halt truncates the campaign and any other stop is an
+// error.
+func (m *uarchModel) extendLog(end uint64) (bool, error) {
+	for m.rec.Cycles() < end {
+		m.rec.Cycle()
+		if m.rec.Status() == pipeline.StatusHalted {
+			return false, nil // program ends inside the span: truncate
+		}
+		if m.rec.Status() != pipeline.StatusRunning {
+			return false, fmt.Errorf("inject: golden continuation stopped: %v", m.rec.Status())
+		}
+		m.log.cycles = append(m.log.cycles, logCycle{
+			digest:  m.rec.State().Hash(),
+			commits: uint32(len(m.log.commits)),
+			misps:   uint32(len(m.log.misps)),
+		})
+	}
+	return true, nil
+}
+
+// view returns the golden continuation of the point at start: the commits and
+// mispredictions of (start, start+span], and the first offset of every
+// digest in [start, start+window]. A trial looks a digest up only at an
+// offset c <= window and accepts it only if it first occurred at or before c,
+// so a digest that first occurs past window could never match.
+func (l *goldenLog) view(start, window, span uint64) *uarchGolden {
+	s := start - l.base
+	from, to := l.cycles[s], l.cycles[s+span]
+	g := &uarchGolden{
+		commits:     l.commits[from.commits:to.commits:to.commits],
+		mispredicts: l.misps[from.misps:to.misps:to.misps],
+		hashAt:      make(map[uint64]uint64, window+1),
+	}
+	for k, c := range l.cycles[s : s+window+1] {
+		if _, seen := g.hashAt[c.digest]; !seen {
+			g.hashAt[c.digest] = uint64(k)
+		}
+	}
+	return g
 }
 
 func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
@@ -334,17 +500,17 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 	// Clone (or pool-reset) on the dispatching goroutine, while the master
 	// still sits at this point.
 	faulty := m.pool.acquire(m.master)
-	pool, trace, cfg := m.pool, m.trace, m.cfg
+	pool, golden, cfg := m.pool, m.golden, m.cfg
 	w.submit(slot, func() {
-		runUArchTrial(faulty, pick.ref, cfg.BurstBits, trace, cfg.WindowCycles, out, cfg.noEarlyExit)
+		runUArchTrial(faulty, pick.ref, cfg.BurstBits, golden, cfg.WindowCycles, out, cfg.noEarlyExit)
 		pool.release(faulty)
 	})
 	return false
 }
 
-// endPoint lets the point's golden trace go before the next is recorded; any
+// endPoint lets the point's golden view go before the next is made; any
 // trials still in flight hold their own reference.
-func (m *uarchModel) endPoint() { m.trace = nil }
+func (m *uarchModel) endPoint() { m.golden = nil }
 
 func (t UArchTrial) outcome(window uint64) string {
 	return t.CategoryAt(window, DetectorPerfect).String()
@@ -378,54 +544,12 @@ func pickBit(space *pipeline.StateSpace, rng *rand.Rand, latchesOnly bool) (pipe
 	return pipeline.BitRef{}, false, ErrNoEligibleBits
 }
 
-// recordGolden forks the master and records its continuation: per-cycle
-// state digests and the committed instruction stream. A (nil, nil) return
-// means the golden continuation stopped inside the observation window — the
-// program is ending — and the campaign should truncate at this point rather
-// than fail. Every simulated cycle counts on cycles (nil without a sink).
-func recordGolden(master *pipeline.Pipeline, window uint64, cycles *obs.Counter) (*goldenTrace, error) {
-	g := master.Clone()
-	trace := &goldenTrace{
-		commits: make([]pipeline.CommitEvent, 0, window),
-		hashAt:  make(map[uint64]uint64, window),
-	}
-	g.CommitHook = func(ev pipeline.CommitEvent) {
-		trace.commits = append(trace.commits, ev)
-	}
-	g.BranchHook = func(ev pipeline.BranchEvent) {
-		if ev.IsCond && ev.Mispredicted {
-			trace.mispredicts = append(trace.mispredicts,
-				mispRec{pc: ev.PC, taken: ev.ActualTaken, highConf: ev.HighConf})
-		}
-	}
-	// Record with 25% slack so a faulty run that gets slightly ahead
-	// still has golden events to compare against.
-	total := window + window/4
-	for c := uint64(0); c <= total; c++ {
-		h := g.State().Hash()
-		if _, seen := trace.hashAt[h]; !seen {
-			trace.hashAt[h] = c
-		}
-		if c < total {
-			g.Cycle()
-			cycles.Inc()
-			if g.Status() == pipeline.StatusHalted {
-				return nil, nil // program ends inside the window: truncate
-			}
-			if g.Status() != pipeline.StatusRunning {
-				return nil, fmt.Errorf("inject: golden continuation stopped: %v", g.Status())
-			}
-		}
-	}
-	return trace, nil
-}
-
 // runUArchTrial flips the bit and monitors the clone against the golden
-// trace. The trial stops as soon as its classification is decided — a
+// continuation. The trial stops as soon as its classification is decided — a
 // terminal pipeline status or a masked reconvergence — unless noEarlyExit
 // asks for the proof mode, which freezes the decision (trialDecision), runs
 // the window out, and returns the frozen record.
-func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *goldenTrace, window uint64, trial *UArchTrial, noEarlyExit bool) {
+func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden *uarchGolden, window uint64, trial *UArchTrial, noEarlyExit bool) {
 	const hashEvery = 16
 
 	// Flip a run of adjacent bits within the element (single-bit unless
@@ -453,11 +577,11 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 	}
 
 	f.CommitHook = func(ev pipeline.CommitEvent) {
-		if cfv || commitIdx >= len(trace.commits) {
+		if cfv || commitIdx >= len(golden.commits) {
 			commitIdx++
 			return
 		}
-		g := trace.commits[commitIdx]
+		g := &golden.commits[commitIdx]
 		commitIdx++
 
 		if ev.Exception != arch.ExcNone {
@@ -472,9 +596,9 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 		// unchanged non-branch instruction is bookkeeping damage, not a
 		// violation; its real effects (wrong branch targets, wrong link
 		// values) surface through these checks.
-		branchChanged := ev.IsBranch != g.IsBranch ||
-			(ev.IsBranch && (ev.Taken != g.Taken || ev.Target != g.Target))
-		wrongPath := ev.PC != g.PC && ev.Inst != g.Inst
+		branchChanged := ev.IsBranch != g.isBranch ||
+			(ev.IsBranch && (ev.Taken != g.taken || ev.Target != g.target))
+		wrongPath := ev.PC != g.pc && ev.Inst != g.inst
 		if branchChanged || wrongPath {
 			if trial.CFVLat == Never {
 				trial.CFVLat = latency()
@@ -488,18 +612,18 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 		// destination than the golden run, both registers diverge: the
 		// one that got a wrong value and the one that missed its write.
 		switch {
-		case ev.HasDest && g.HasDest && ev.DestArch == g.DestArch:
-			if ev.DestVal != g.DestVal {
+		case ev.HasDest && g.hasDest && ev.DestArch == g.destArch:
+			if ev.DestVal != g.destVal {
 				diverge()
 			}
-			regs.mark(ev.DestArch, ev.DestVal != g.DestVal)
-		case ev.HasDest || g.HasDest:
+			regs.mark(ev.DestArch, ev.DestVal != g.destVal)
+		case ev.HasDest || g.hasDest:
 			diverge()
 			if ev.HasDest {
 				regs.mark(ev.DestArch, true)
 			}
-			if g.HasDest {
-				regs.mark(g.DestArch, true)
+			if g.hasDest {
+				regs.mark(g.destArch, true)
 			}
 		}
 
@@ -507,8 +631,8 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 		// under a corrupted control word: every address a mismatched
 		// store touched (or should have touched) diverges.
 		switch {
-		case !ev.IsStore && !g.IsStore:
-		case ev.IsStore && g.IsStore && ev.MemAddr == g.MemAddr && ev.StoreVal == g.StoreVal:
+		case !ev.IsStore && !g.isStore:
+		case ev.IsStore && g.isStore && ev.MemAddr == g.memAddr && ev.StoreVal == g.storeVal:
 			delete(divergedMem, ev.MemAddr)
 		default:
 			diverge()
@@ -518,8 +642,8 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 			if ev.IsStore {
 				divergedMem[ev.MemAddr] = true
 			}
-			if g.IsStore && (!ev.IsStore || ev.MemAddr != g.MemAddr) {
-				divergedMem[g.MemAddr] = true
+			if g.isStore && (!ev.IsStore || ev.MemAddr != g.memAddr) {
+				divergedMem[g.memAddr] = true
 			}
 		}
 	}
@@ -532,8 +656,8 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 		// faulty misprediction is natural iff it coincides with the
 		// golden run's k-th. Any deviation — different branch, outcome
 		// or confidence, or an extra event — is fault-induced.
-		natural := mispIdx < len(trace.mispredicts) &&
-			trace.mispredicts[mispIdx] == mispRec{pc: ev.PC, taken: ev.ActualTaken, highConf: ev.HighConf}
+		natural := mispIdx < len(golden.mispredicts) &&
+			golden.mispredicts[mispIdx] == mispRec{pc: ev.PC, taken: ev.ActualTaken, highConf: ev.HighConf}
 		mispIdx++
 		if natural {
 			return
@@ -570,7 +694,7 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 			dec.decide(trial)
 		}
 		if !dec.decided && c%hashEvery == 0 && !cfv && regs.n == 0 && len(divergedMem) == 0 {
-			if gc, ok := trace.hashAt[f.State().Hash()]; ok && gc <= c {
+			if gc, ok := golden.hashAt[f.State().Hash()]; ok && gc <= c {
 				// Microarchitectural state matches the golden run
 				// (possibly lagged): the fault is gone.
 				trial.Masked = true
