@@ -79,6 +79,10 @@ const (
 	frameDirSize = 1 + 4 + 4 + 4 + 4 // per-frame directory entry
 	maxFrames    = 1 << 20
 	maxFrameLen  = 1 << 31
+	bufOverhead  = 4 + 4 // a buffer's length word and CRC in the payload
+	// maxInflate bounds DEFLATE's expansion: a 258-byte match costs at
+	// least 2 bits, so a stream inflates to at most 1032 times its size.
+	maxInflate = 1032
 )
 
 // Stats reports what an Encode/WriteFile produced, for observability
@@ -133,7 +137,7 @@ func (w *Writer) Stats() Stats { return w.stats }
 func encodePlain(f *FrameWriter) []byte {
 	n := 0
 	for _, b := range f.bufs {
-		n += 8 + len(b)
+		n += bufOverhead + len(b)
 	}
 	out := make([]byte, 0, n)
 	var u [4]byte
@@ -451,6 +455,14 @@ func parseHeader(data []byte) ([]frameInfo, int64, error) {
 		}
 		if fi.style == StyleRaw && fi.storedLen != fi.plainLen {
 			return nil, 0, fmt.Errorf("%w: raw frame %d stored %d != plain %d", ErrCorrupt, i, fi.storedLen, fi.plainLen)
+		}
+		// ReadFrame sizes its buffers from plainLen and bufCount, so both
+		// must be possible for the bytes that are actually there.
+		if fi.style == StyleFlate && uint64(fi.plainLen) > uint64(fi.storedLen)*maxInflate {
+			return nil, 0, fmt.Errorf("%w: flate frame %d declares %d plain bytes from %d stored", ErrCorrupt, i, fi.plainLen, fi.storedLen)
+		}
+		if fi.bufCount > fi.plainLen/bufOverhead {
+			return nil, 0, fmt.Errorf("%w: frame %d declares %d buffers in %d payload bytes", ErrCorrupt, i, fi.bufCount, fi.plainLen)
 		}
 		off += frameDirSize
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 // buildImage assembles a representative mixed image: an empty frame, a raw
 // frame with a zero-length buffer, a compressible flate frame, and a
 // high-entropy flate frame (compression that does not pay still round-trips).
-func buildImage(t *testing.T) *Writer {
+func buildImage(t testing.TB) *Writer {
 	t.Helper()
 	w := NewWriter()
 	w.Frame(StyleRaw) // zero-buffer frame
@@ -209,11 +210,47 @@ func decodeAllBytes(t *testing.T, data []byte) error {
 	return ferr
 }
 
+// faultSite is one byte TestFaultInjection flips in buildImage's encoding and
+// the error the flip must yield.
+type faultSite struct {
+	name string
+	off  int
+	want error
+}
+
+// faultSites names a byte in every structural region of data, buildImage's
+// encoding: magic, frame-directory entry, header CRC, compressed frame body,
+// raw buffer body, buffer CRC.
+func faultSites(data []byte) []faultSite {
+	hlen := int(binary.LittleEndian.Uint32(data[8:12]))
+	frameStart := headerFixed + hlen + 4
+	// Offsets of interesting regions. Frame 1 (raw) starts after frame 0
+	// (zero stored bytes); its first buffer body begins 4 bytes in and its
+	// CRC follows the 13-byte "control words" payload.
+	rawBody := frameStart + 4 + 2                                          // inside "control words"
+	rawCRC := frameStart + 4 + 13                                          // first buffer's CRC word
+	flateBody := frameStart + (4 + 13 + 4) + (4 + 0 + 4) + (4 + 1 + 4) + 3 // inside frame 2's flate stream
+	return []faultSite{
+		{"magic", 3, ErrBadMagic},
+		{"frame directory entry", 12 + 4 + frameDirSize + 2, ErrCorrupt}, // frame 1's storedLen
+		{"header CRC field", headerFixed + hlen + 1, ErrCorrupt},
+		{"raw buffer body", rawBody, ErrCorrupt},
+		{"buffer CRC field", rawCRC, ErrCorrupt},
+		{"compressed frame body", flateBody, ErrCorrupt},
+	}
+}
+
+// flipped returns a copy of data with the byte at off flipped.
+func flipped(data []byte, off int) []byte {
+	mut := bytes.Clone(data)
+	mut[off] ^= 0x40
+	return mut
+}
+
 // TestFaultInjection flips single bytes in every structural region of the
-// file — magic, frame-directory entry, header CRC, compressed frame body,
-// raw buffer body, buffer CRC — and asserts each yields a typed error,
-// never a silently wrong restore. (Satellite: ckptio fault-injection
-// coverage, mirroring the journal torn-tail tests.)
+// file and asserts each yields a typed error, never a silently wrong restore.
+// (Satellite: ckptio fault-injection coverage, mirroring the journal
+// torn-tail tests.)
 func TestFaultInjection(t *testing.T) {
 	w := buildImage(t)
 	data, err := w.Encode(1)
@@ -223,31 +260,9 @@ func TestFaultInjection(t *testing.T) {
 	if err := decodeAllBytes(t, append([]byte{}, data...)); err != nil {
 		t.Fatalf("pristine image must decode: %v", err)
 	}
-	hlen := int(binary.LittleEndian.Uint32(data[8:12]))
-	frameStart := headerFixed + hlen + 4
-	// Offsets of interesting regions. Frame 1 (raw) starts after frame 0
-	// (zero stored bytes); its first buffer body begins 4 bytes in and its
-	// CRC follows the 13-byte "control words" payload.
-	rawBody := frameStart + 4 + 2                                          // inside "control words"
-	rawCRC := frameStart + 4 + 13                                          // first buffer's CRC word
-	flateBody := frameStart + (4 + 13 + 4) + (4 + 0 + 4) + (4 + 1 + 4) + 3 // inside frame 2's flate stream
-	cases := []struct {
-		name string
-		off  int
-		want error
-	}{
-		{"magic", 3, ErrBadMagic},
-		{"frame directory entry", 12 + 4 + frameDirSize + 2, ErrCorrupt}, // frame 1's storedLen
-		{"header CRC field", headerFixed + hlen + 1, ErrCorrupt},
-		{"raw buffer body", rawBody, ErrCorrupt},
-		{"buffer CRC field", rawCRC, ErrCorrupt},
-		{"compressed frame body", flateBody, ErrCorrupt},
-	}
-	for _, tc := range cases {
+	for _, tc := range faultSites(data) {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := append([]byte{}, data...)
-			mut[tc.off] ^= 0x40
-			err := decodeAllBytes(t, mut)
+			err := decodeAllBytes(t, flipped(data, tc.off))
 			if err == nil {
 				t.Fatalf("flipping byte %d (%s) decoded cleanly", tc.off, tc.name)
 			}
@@ -258,6 +273,11 @@ func TestFaultInjection(t *testing.T) {
 	}
 }
 
+// truncationCuts are the lengths TestTruncationDetected cuts data to.
+func truncationCuts(data []byte) []int {
+	return []int{0, 4, headerFixed, headerFixed + 5, len(data) - 1}
+}
+
 // TestTruncationDetected cuts the file at several points; every cut is a
 // typed error.
 func TestTruncationDetected(t *testing.T) {
@@ -265,7 +285,7 @@ func TestTruncationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 4, headerFixed, headerFixed + 5, len(data) - 1} {
+	for _, n := range truncationCuts(data) {
 		err := decodeAllBytes(t, append([]byte{}, data[:n]...))
 		if err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", n)
@@ -277,6 +297,43 @@ func TestTruncationDetected(t *testing.T) {
 	// Trailing garbage is corruption, not silently ignored bytes.
 	if err := decodeAllBytes(t, append(append([]byte{}, data...), 0xEE)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: got %v, want ErrCorrupt", err)
+	}
+}
+
+// oversizedImages are two one-frame images with valid CRCs whose frame
+// directory declares more than the frame's bytes can hold: a 45-byte image
+// whose raw frame claims 2³¹ buffers in 8 payload bytes, and a 55-byte image
+// whose flate frame claims 2³¹ plain bytes.
+func oversizedImages(t testing.TB) map[string][]byte {
+	t.Helper()
+	one := func(ef encodedFrame) []byte {
+		ef.crc = crc32.ChecksumIEEE(ef.stored)
+		return append(layout([]encodedFrame{ef}), ef.stored...)
+	}
+	fw := &FrameWriter{style: StyleFlate}
+	fw.Add(nil)
+	flated, err := encodeFrame(fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flated.plainLen = 1 << 31
+	return map[string][]byte{
+		"raw frame with 2^31 buffers": one(encodedFrame{style: StyleRaw, stored: make([]byte, 8), plainLen: 8, bufCount: 1 << 31}),
+		"flate frame of 2^31 bytes":   one(flated),
+	}
+}
+
+// TestOversizedFrameRejected pins the bounds parseHeader puts on a frame
+// directory. Without them, ReadFrame sized its buffer list from bufCount (2³¹
+// entries: the process died out of memory, not with an error) and its inflate
+// buffer from plainLen (2 GiB before returning ErrCorrupt).
+func TestOversizedFrameRejected(t *testing.T) {
+	for name, data := range oversizedImages(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := decodeAllBytes(t, data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%d-byte image: got %v, want ErrCorrupt", len(data), err)
+			}
+		})
 	}
 }
 
