@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -236,7 +237,6 @@ type uarchModel struct {
 	offsets []uint64    // injection points, cycles past warm-up, ascending
 	picks   []uarchPick // per slot
 	base    uint64      // cycle the master has reached
-	point   int         // the point the master was last walked to
 	golden  *uarchGolden
 	pool    *forkPool[*pipeline.Pipeline]
 
@@ -333,7 +333,6 @@ func (m *uarchModel) saveImage(path string, workers int) (ckptio.Stats, error) {
 }
 
 func (m *uarchModel) advance(i int) (bool, error) {
-	m.point = i
 	if target := m.cfg.WarmupCycles + m.offsets[i]; target > m.base {
 		m.master.RunCycles(target - m.base)
 		m.base = target
@@ -414,7 +413,8 @@ func (m *uarchModel) moveLog(start uint64) {
 // stays correct, since views keep the old arrays.
 func (m *uarchModel) newLog(start uint64) *goldenLog {
 	end := start + m.span()
-	for _, off := range m.offsets[m.point:] {
+	from, _ := slices.BinarySearch(m.offsets, start-m.cfg.WarmupCycles)
+	for _, off := range m.offsets[from:] {
 		p := m.cfg.WarmupCycles + off
 		if p > start+m.span() {
 			break
