@@ -52,14 +52,15 @@ restorelint:
 	$(GO) run ./tools/restorelint
 
 # Short fuzz passes over the assembler, the decoder, the journal scan, the
-# manifest reader and the checkpoint container (regression corpus plus 10s of
-# new inputs each).
+# manifest reader, the checkpoint container and the golden-image loader
+# (regression corpus plus 10s of new inputs each).
 fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzScanJournal -fuzztime 10s
 	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s
 	$(GO) test ./internal/ckptio -run '^$$' -fuzz FuzzReadImage -fuzztime 10s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz FuzzLoadGoldenImage -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

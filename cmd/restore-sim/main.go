@@ -49,9 +49,11 @@
 // results without re-running any trial. See EXPERIMENTS.md for the on-disk
 // format and the crash-consistency guarantees.
 //
-// -golden-image <dir> saves each campaign's warmed-up simulator state into
-// <dir> on first run; reruns and shard workers restore the image instead of
-// re-simulating the warm-up, with byte-identical results.
+// -golden-image <dir> saves the warmed-up pipeline of each microarchitectural
+// warm-up into <dir> on first run, one image that every campaign sharing the
+// warm-up (fig4, fig4-latches, fig6) restores instead of re-simulating it,
+// with byte-identical results. Software-level campaigns keep no image: their
+// warm-up costs less than loading one.
 // `restore-sim ckpt inspect <image>` prints a golden image's frame directory.
 //
 // Service mode: `restore-sim -root <dir> serve` runs the campaign service
@@ -134,7 +136,7 @@ func run(args []string) error {
 		out       = fs.String("out", "", "campaign directory: journal completed trials under this directory and resume from it on rerun; results are identical either way")
 		shard     = fs.String("shard", "", "run shard k/n of every campaign (1-based, e.g. 1/4); requires -out, combine shard directories with the merge subcommand")
 		stopAfter = fs.Int("stop-after", 0, "interrupt the run after this many trial completions (deterministic stand-in for ctrl-C; mainly for tests and CI)")
-		golden    = fs.String("golden-image", "", "golden-image directory: the first run of each campaign saves its warmed-up state under this directory, reruns and shards restore it instead of re-simulating the warm-up; results are identical either way")
+		golden    = fs.String("golden-image", "", "golden-image directory: the first microarchitectural campaign of each warm-up saves the warmed-up pipeline under this directory, later campaigns, reruns and shards with that warm-up restore it instead of re-simulating the warm-up (software-level campaigns keep no image); results are identical either way")
 		budget    = fs.Uint64("budget", 0, "check-bit budget for the protect subcommand (0 = the hand-picked placement's overhead)")
 		budgets   = fs.String("budgets", "", "comma-separated check-bit budgets for budget-sweep (default 0,416,832,1664,3328,6656)")
 		sroot     = fs.String("root", "", "campaign service root directory (the serve daemon and its submit/status/cancel/jobs clients)")
@@ -380,8 +382,7 @@ func mergeRoots(outRoot string, roots []string) error {
 // inspectImage prints the frame directory of a ckptio container (golden
 // images or any other RSTCKPT1 file): per-frame style, buffer count and
 // plain/stored sizes, plus the identification string when frame 0 carries
-// one. Only frame 0 is ever decoded, so inspection of a multi-gigabyte image
-// stays cheap.
+// one. Only frame 0 is decoded.
 func inspectImage(path string) error {
 	f, err := ckptio.Open(path)
 	if err != nil {

@@ -236,18 +236,27 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunGoldenImageAndInspect runs a tiny campaign with -golden-image, reruns
-// it from the saved image (outputs must match byte-for-byte), and inspects the
-// image with the ckpt subcommand.
+// TestRunGoldenImageAndInspect runs a tiny fig4 campaign with -golden-image,
+// reruns it from the saved image (outputs must match byte-for-byte), and
+// inspects the image with the ckpt subcommand. fig2 under -golden-image
+// writes no image.
 func TestRunGoldenImageAndInspect(t *testing.T) {
-	oneShot, err := captureStdout(t, func() error { return run(tinyArgs("fig2")) })
+	root := t.TempDir()
+	if _, err := captureStdout(t, func() error {
+		return run(append([]string{"-golden-image", root}, tinyArgs("fig2")...))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(root); err != nil || len(entries) != 0 {
+		t.Fatalf("fig2 left %d entries in the golden-image directory (err %v), want none", len(entries), err)
+	}
+
+	oneShot, err := captureStdout(t, func() error { return run(tinyArgs("fig4")) })
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	root := t.TempDir()
 	warm, err := captureStdout(t, func() error {
-		return run(append([]string{"-golden-image", root}, tinyArgs("fig2")...))
+		return run(append([]string{"-golden-image", root}, tinyArgs("fig4")...))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +266,7 @@ func TestRunGoldenImageAndInspect(t *testing.T) {
 		t.Fatalf("golden images = %v (err %v), want exactly 1", images, err)
 	}
 	restored, err := captureStdout(t, func() error {
-		return run(append([]string{"-golden-image", root}, tinyArgs("fig2")...))
+		return run(append([]string{"-golden-image", root}, tinyArgs("fig4")...))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +282,7 @@ func TestRunGoldenImageAndInspect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ckpt inspect: %v", err)
 	}
-	for _, want := range []string{"frames", "flate", "meta: vm|bench=gzip"} {
+	for _, want := range []string{"frames", "flate", "meta: uarch|bench=gzip"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("inspect output missing %q:\n%s", want, out)
 		}

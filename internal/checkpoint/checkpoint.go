@@ -14,10 +14,8 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"errors"
 
-	"repro/internal/ckptio"
 	"repro/internal/mem"
 )
 
@@ -36,46 +34,7 @@ type Store struct {
 	mem      *mem.Memory
 	capacity int
 	cps      []Checkpoint
-
-	costing bool
-	cost    CostStats
 }
-
-// CostStats prices the storage traffic of the checkpoints a store has
-// created, in the ckptio on-disk encoding: the register snapshot as a raw
-// frame plus the interval's buffered memory updates as a compressed frame.
-// The paper models checkpoint creation at zero latency; these numbers let
-// internal/perf relax that assumption and charge the bytes realistically.
-type CostStats struct {
-	Checkpoints int64
-	RawBytes    int64 // encoded size before compression
-	StoredBytes int64 // encoded size after compression, as ckptio stores it
-}
-
-// Ratio returns stored/raw bytes (1.0 for an empty costing).
-func (c CostStats) Ratio() float64 {
-	if c.RawBytes == 0 {
-		return 1
-	}
-	return float64(c.StoredBytes) / float64(c.RawBytes)
-}
-
-// BytesPerCheckpoint returns the mean stored size of one checkpoint.
-func (c CostStats) BytesPerCheckpoint() float64 {
-	if c.Checkpoints == 0 {
-		return 0
-	}
-	return float64(c.StoredBytes) / float64(c.Checkpoints)
-}
-
-// EnableCosting makes every subsequent Create encode its snapshot through
-// ckptio (in memory, nothing touches disk) and accumulate the priced sizes.
-// Purely observational: checkpoint and rollback behaviour are identical with
-// or without it.
-func (s *Store) EnableCosting() { s.costing = true }
-
-// Cost returns the accumulated checkpoint pricing.
-func (s *Store) Cost() CostStats { return s.cost }
 
 // ErrEmpty is returned when restoring from a store with no checkpoints.
 var ErrEmpty = errors.New("checkpoint: store is empty")
@@ -104,9 +63,6 @@ func (s *Store) Create(regs [32]uint64, pc, retired uint64) {
 	// back to), and the first new checkpoint is what makes writes worth
 	// recording again.
 	s.mem.EnableJournal()
-	if s.costing {
-		s.priceSnapshot(regs, pc, retired)
-	}
 	if len(s.cps) == s.capacity {
 		dropped := s.mem.DiscardTo(s.cps[0].mark)
 		s.cps = s.cps[1:]
@@ -120,39 +76,6 @@ func (s *Store) Create(regs [32]uint64, pc, retired uint64) {
 		Retired: retired,
 		mark:    s.mem.Snapshot(),
 	})
-}
-
-// priceSnapshot encodes what this Create checkpoints — the architectural
-// registers plus the write-journal delta accumulated since the previous
-// checkpoint — through the ckptio frame encoder, in memory, and adds the
-// sizes to the running cost. Called before the capacity retirement so the
-// previous checkpoint's mark is still valid.
-func (s *Store) priceSnapshot(regs [32]uint64, pc, retired uint64) {
-	var prev mem.Mark
-	if len(s.cps) > 0 {
-		prev = s.cps[len(s.cps)-1].mark
-	}
-	arch := make([]byte, 0, (len(regs)+2)*8)
-	var u [8]byte
-	for _, r := range regs {
-		binary.LittleEndian.PutUint64(u[:], r)
-		arch = append(arch, u[:]...)
-	}
-	binary.LittleEndian.PutUint64(u[:], pc)
-	arch = append(arch, u[:]...)
-	binary.LittleEndian.PutUint64(u[:], retired)
-	arch = append(arch, u[:]...)
-
-	w := ckptio.NewWriter()
-	w.Frame(ckptio.StyleRaw).Add(arch)
-	w.Frame(ckptio.StyleFlate).Add(s.mem.JournalImage(prev))
-	if _, err := w.Encode(1); err != nil {
-		return // cannot happen for in-memory frames; never perturb the store
-	}
-	st := w.Stats()
-	s.cost.Checkpoints++
-	s.cost.RawBytes += st.PlainBytes
-	s.cost.StoredBytes += st.StoredBytes
 }
 
 // Oldest returns the oldest live checkpoint without restoring it.

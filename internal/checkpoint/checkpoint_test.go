@@ -245,51 +245,6 @@ func TestClearBoundsJournalUntilNextCreate(t *testing.T) {
 	}
 }
 
-// TestCostingPricesSnapshots: with costing enabled every Create prices the
-// register file plus the interval's journal delta through the ckptio
-// encoding; repetitive store data compresses below its raw size. Costing is
-// observational — restored state is identical with it on or off.
-func TestCostingPricesSnapshots(t *testing.T) {
-	m := newMem(t)
-	s := NewStore(m, 2)
-	if got := s.Cost(); got != (CostStats{}) {
-		t.Fatalf("cost nonzero before enabling: %+v", got)
-	}
-	s.EnableCosting()
-	var regs [32]uint64
-	s.Create(regs, 0x100, 0)
-	// A compressible interval: many zero-valued overwrites journalled.
-	for i := uint64(0); i < 512; i++ {
-		if err := m.WriteQ(i*8, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Create(regs, 0x200, 512)
-
-	cost := s.Cost()
-	if cost.Checkpoints != 2 {
-		t.Fatalf("priced %d checkpoints, want 2", cost.Checkpoints)
-	}
-	// Second snapshot carries 512 journal records (17 bytes raw each).
-	if cost.RawBytes < 512*17 {
-		t.Fatalf("raw bytes %d too small for the journalled interval", cost.RawBytes)
-	}
-	if cost.StoredBytes >= cost.RawBytes || cost.Ratio() >= 1 {
-		t.Fatalf("zero-heavy journal did not compress: %+v (ratio %.2f)", cost, cost.Ratio())
-	}
-	if bpc := cost.BytesPerCheckpoint(); bpc <= 0 {
-		t.Fatalf("BytesPerCheckpoint = %g", bpc)
-	}
-
-	// Rollback behaviour is untouched by costing.
-	if _, err := s.RestoreOldest(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.ReadQ(0); v != 0 {
-		t.Errorf("[0] = %d after costed rollback, want 0", v)
-	}
-}
-
 // TestRestoreAfterClearStopsAtCreateBoundary pins where the rollback horizon
 // lands after a Clear: exactly at the next Create, never earlier. Writes made
 // while journalling was off are permanent; a full restore-oldest — even after

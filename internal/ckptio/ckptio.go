@@ -1,6 +1,6 @@
-// Package ckptio implements the frame-based checkpoint file format used for
-// simulator golden images and costed checkpoint accounting (the at_checkpt
-// contract from the reference tracer: SNIPPETS.md Snippet 1).
+// Package ckptio implements the frame-based checkpoint file format of the
+// microarchitectural golden images (pipeline.WriteGoldenImage; the
+// at_checkpt contract from the reference tracer: SNIPPETS.md Snippet 1).
 //
 // A checkpoint file is a fixed header plus zero or more independent frames.
 // Each frame is either RAW or block-compressed (stdlib flate at a fixed
@@ -8,8 +8,11 @@
 // buffers. Frames occupy disjoint byte ranges and never reference each
 // other, so N workers can compress (on write) or decompress (on read) the
 // frames in parallel while the on-disk bytes — and the restored buffers —
-// are bit-identical regardless of worker count or whether IO is streamed
-// through a file or staged in memory.
+// are bit-identical regardless of worker count.
+//
+// IO is whole-file: WriteFile publishes Encode's bytes atomically, and Open
+// reads the file into memory and decodes it as Decode does. Images are a few
+// hundred kilobytes, and every reader but an inspection decodes every frame.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -92,15 +95,6 @@ type Stats struct {
 	Buffers     int
 	PlainBytes  int64 // frame payload bytes before compression
 	StoredBytes int64 // frame bytes on disk
-}
-
-// Ratio returns stored/plain — the achieved compression ratio (1.0 = no
-// savings). Zero plain bytes report 1.0.
-func (s Stats) Ratio() float64 {
-	if s.PlainBytes == 0 {
-		return 1.0
-	}
-	return float64(s.StoredBytes) / float64(s.PlainBytes)
 }
 
 // FrameWriter accumulates one frame's buffers.
@@ -297,21 +291,14 @@ func (w *Writer) Encode(workers int) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFile writes the image to path: frames are compressed in parallel and
-// published in index order through atomicfile, so a crash never leaves a
-// partial image under the final name. The bytes are identical to Encode's.
+// WriteFile publishes Encode's bytes at path through atomicfile, so a crash
+// never leaves a partial image under the final name.
 func (w *Writer) WriteFile(path string, workers int) error {
-	frames, err := w.encodeFrames(workers)
+	data, err := w.Encode(workers)
 	if err != nil {
 		return err
 	}
-	w.tally(frames)
-	parts := make([][]byte, 0, 1+len(frames))
-	parts = append(parts, layout(frames))
-	for _, ef := range frames {
-		parts = append(parts, ef.stored)
-	}
-	return atomicfile.Write(path, parts...)
+	return atomicfile.Write(path, data)
 }
 
 // frameInfo is one parsed directory entry plus its absolute file offset.
@@ -324,13 +311,12 @@ type frameInfo struct {
 	off       int64
 }
 
-// File is a parsed checkpoint image open for reading. Frames decode
+// File is a parsed checkpoint image held in memory. Frames decode
 // independently — ReadFrame is safe to call concurrently from any number of
-// goroutines, in either IO mode.
+// goroutines.
 type File struct {
 	frames []frameInfo
-	data   []byte   // memory mode
-	f      *os.File // file mode
+	data   []byte
 }
 
 // Decode parses an in-memory image.
@@ -346,57 +332,18 @@ func Decode(data []byte) (*File, error) {
 	return c, nil
 }
 
-// Open opens an image file for streaming reads: only the header is read up
-// front, and each ReadFrame reads just its own byte range.
+// Open reads an image file and decodes it as Decode does. An error reading
+// the file is returned as it is.
 func Open(path string) (*File, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	head := make([]byte, headerFixed)
-	if _, err := io.ReadFull(f, head); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: reading header", ErrTruncated)
-	}
-	hlen := binary.LittleEndian.Uint32(head[8:12])
-	if [8]byte(head[0:8]) != magic {
-		f.Close()
-		return nil, ErrBadMagic
-	}
-	if hlen > maxFrames*frameDirSize+4 {
-		f.Close()
-		return nil, fmt.Errorf("%w: header length %d", ErrCorrupt, hlen)
-	}
-	rest := make([]byte, hlen+4)
-	if _, err := io.ReadFull(f, rest); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: reading header payload", ErrTruncated)
-	}
-	frames, end, err := parseHeader(append(head, rest...))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	c := &File{frames: frames, f: f}
-	if err := c.placeFrames(end, st.Size()); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return c, nil
+	return Decode(data)
 }
 
-// Close releases the underlying file (no-op in memory mode).
-func (c *File) Close() error {
-	if c.f != nil {
-		return c.f.Close()
-	}
-	return nil
-}
+// Close is a no-op: a File holds no open descriptor.
+func (c *File) Close() error { return nil }
 
 // Frames returns the number of frames in the image.
 func (c *File) Frames() int { return len(c.frames) }
@@ -493,15 +440,7 @@ func (c *File) ReadFrame(i int) ([][]byte, error) {
 		return nil, fmt.Errorf("ckptio: frame index %d out of range [0,%d)", i, len(c.frames))
 	}
 	fi := &c.frames[i]
-	var stored []byte
-	if c.data != nil {
-		stored = c.data[fi.off : fi.off+int64(fi.storedLen)]
-	} else {
-		stored = make([]byte, fi.storedLen)
-		if _, err := c.f.ReadAt(stored, fi.off); err != nil {
-			return nil, fmt.Errorf("%w: frame %d: %v", ErrTruncated, i, err)
-		}
-	}
+	stored := c.data[fi.off : fi.off+int64(fi.storedLen)]
 	if crc32.ChecksumIEEE(stored) != fi.crc {
 		return nil, fmt.Errorf("%w: frame %d stored-CRC mismatch", ErrCorrupt, i)
 	}
@@ -555,7 +494,7 @@ func (c *File) ReadFrame(i int) ([][]byte, error) {
 
 // ReadAll decodes every frame, fanning the per-frame work across workers
 // goroutines, and returns the buffers by frame index. The result is
-// identical for any worker count and either IO mode.
+// identical for any worker count.
 func (c *File) ReadAll(workers int) ([][][]byte, error) {
 	if workers < 1 {
 		workers = 1

@@ -63,11 +63,13 @@ type Options struct {
 	// re-running a trial. Zero values mean unsharded.
 	ShardIndex int
 	ShardCount int
-	// GoldenImageRoot, if non-empty, gives every campaign a warmed-state
-	// golden image at GoldenImageRoot/<CampaignID>.golden (see
-	// internal/ckptio): the first run of a campaign writes the image at the
-	// warm-up boundary, later runs restore it instead of re-executing the
-	// warm-up. Results are byte-identical either way.
+	// GoldenImageRoot, if non-empty, holds the warmed-state golden images
+	// of microarchitectural campaigns, one per warm-up (see
+	// inject.Exec.GoldenImageDir and internal/ckptio): the first campaign
+	// with a given warm-up writes uarch-<bench>-<fingerprint>.golden there,
+	// and every later campaign with that warm-up restores it instead of
+	// re-executing the warm-up. Software-level (VM) campaigns ignore it.
+	// Results are byte-identical either way.
 	GoldenImageRoot string
 	// Interrupt, if non-nil, stops every campaign at the next trial
 	// boundary once the channel is closed. Durable campaigns drain and
@@ -77,16 +79,13 @@ type Options struct {
 }
 
 // exec derives a campaign's execution options from the experiment options.
-// id is the campaign's CampaignID, which names its journal directory and its
-// golden image.
+// id is the campaign's CampaignID, which names its journal directory.
 func (o Options) exec(id string) inject.Exec {
-	x := inject.Exec{Workers: o.Workers, Progress: o.Progress, Obs: o.Obs, Interrupt: o.Interrupt}
+	x := inject.Exec{Workers: o.Workers, Progress: o.Progress, Obs: o.Obs,
+		GoldenImageDir: o.GoldenImageRoot, Interrupt: o.Interrupt}
 	if o.CampaignRoot != "" {
 		x.ResumeFrom = filepath.Join(o.CampaignRoot, id)
 		x.ShardIndex, x.ShardCount = o.ShardIndex, o.ShardCount
-	}
-	if o.GoldenImageRoot != "" {
-		x.GoldenImage = filepath.Join(o.GoldenImageRoot, id+".golden")
 	}
 	return x
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -228,8 +229,8 @@ func TestAblateCheckpoints(t *testing.T) {
 }
 
 // TestDurabilityOptionThreading pins the Options→campaign-config plumbing:
-// golden-image paths and shard assignment must reach both campaign kinds,
-// and golden images must not require a CampaignRoot.
+// the golden-image directory and shard assignment must reach both campaign
+// kinds, and golden images must not require a CampaignRoot.
 func TestDurabilityOptionThreading(t *testing.T) {
 	o := Options{
 		CampaignRoot:    "root",
@@ -245,8 +246,8 @@ func TestDurabilityOptionThreading(t *testing.T) {
 	if vm.ShardIndex != 1 || vm.ShardCount != 3 {
 		t.Errorf("vm durability options not threaded: %+v", vm)
 	}
-	if vm.GoldenImage != filepath.Join("golden", vmID+".golden") {
-		t.Errorf("vm GoldenImage = %q", vm.GoldenImage)
+	if vm.GoldenImageDir != "golden" {
+		t.Errorf("vm GoldenImageDir = %q", vm.GoldenImageDir)
 	}
 	uaID := inject.UArchConfig{Bench: workload.Gzip, Points: 2, TrialsPerPoint: 3}.CampaignID()
 	ua := o.exec(uaID)
@@ -256,45 +257,62 @@ func TestDurabilityOptionThreading(t *testing.T) {
 	if ua.ShardIndex != 1 || ua.ShardCount != 3 {
 		t.Errorf("uarch durability options not threaded: %+v", ua)
 	}
-	if ua.GoldenImage != filepath.Join("golden", uaID+".golden") {
-		t.Errorf("uarch GoldenImage = %q", ua.GoldenImage)
+	if ua.GoldenImageDir != "golden" {
+		t.Errorf("uarch GoldenImageDir = %q", ua.GoldenImageDir)
 	}
 
 	// Golden images stand alone: no CampaignRoot needed.
 	solo := Options{GoldenImageRoot: "g"}.exec(inject.VMConfig{Bench: workload.MCF}.CampaignID())
-	if solo.GoldenImage == "" || solo.ResumeFrom != "" {
+	if solo.GoldenImageDir != "g" || solo.ResumeFrom != "" {
 		t.Errorf("golden-only threading wrong: %+v", solo)
 	}
 }
 
-// TestFig2GoldenImageRoot runs the same experiment three times — plain, with
-// a fresh GoldenImageRoot (writes the image), and again over the populated
-// root (restores it) — and requires byte-identical campaign results plus one
-// .golden file per benchmark.
-func TestFig2GoldenImageRoot(t *testing.T) {
+// TestGoldenImageRootOnePerWarmUp runs fig2, fig4, fig4-latches and fig6
+// twice over one GoldenImageRoot: the first pass writes images, the second
+// restores them. Every result must equal a run without images, and the root
+// must hold exactly one image: the one µarch warm-up the three µarch
+// campaigns share. The VM campaign keeps none.
+func TestGoldenImageRootOnePerWarmUp(t *testing.T) {
 	opts := tinyOpts()
 	opts.Benchmarks = []workload.Benchmark{workload.Gzip}
-	plain, err := Fig2(opts, false)
-	if err != nil {
-		t.Fatal(err)
+	type trialSets struct {
+		vm    []inject.VMTrial
+		uarch [3][]inject.UArchTrial
 	}
+	runAll := func(o Options) trialSets {
+		t.Helper()
+		var ts trialSets
+		fig2, err := Fig2(o, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.vm = fig2.AllTrials
+		for i, cc := range []CampaignConfig{{}, {LatchesOnly: true}, {Policy: protect.LowHangingFruit()}} {
+			exp, err := Campaign(o, cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts.uarch[i] = exp.AllTrials
+		}
+		return ts
+	}
+	plain := runAll(opts)
 	opts.GoldenImageRoot = t.TempDir()
-	warm, err := Fig2(opts, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	images, err := filepath.Glob(filepath.Join(opts.GoldenImageRoot, "*.golden"))
-	if err != nil || len(images) != 1 {
-		t.Fatalf("golden images = %v (err %v), want exactly 1", images, err)
-	}
-	restored, err := Fig2(opts, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.AllTrials, warm.AllTrials) {
-		t.Error("warm-save run diverged from plain run")
-	}
-	if !reflect.DeepEqual(plain.AllTrials, restored.AllTrials) {
-		t.Error("golden-restored run diverged from plain run")
+	for _, pass := range []string{"writing", "restoring"} {
+		if got := runAll(opts); !reflect.DeepEqual(plain, got) {
+			t.Errorf("%s pass diverged from a run without images", pass)
+		}
+		entries, err := os.ReadDir(opts.GoldenImageRoot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if len(names) != 1 || !strings.HasPrefix(names[0], "uarch-gzip-") || !strings.HasSuffix(names[0], ".golden") {
+			t.Fatalf("%s pass: golden-image root holds %v, want exactly one uarch-gzip-*.golden", pass, names)
+		}
 	}
 }

@@ -4,21 +4,18 @@
 // a golden continuation at each, run N faulty trials against it — and differ
 // only in the fault model. run owns everything else: sharding validation,
 // the durable journal and slot recovery, slot ownership and progress, the
-// warm-up or golden-image load, the point loop with its interrupt, skip,
-// truncation and drain rules, and the shared telemetry. A faultModel (uarch.go,
-// vm.go) supplies only what differs between the campaigns.
+// point loop with its interrupt, skip, truncation and drain rules, and the
+// shared telemetry. A faultModel (uarch.go, vm.go) supplies only what differs
+// between the campaigns, the warm-up included.
 package inject
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"slices"
 	"sync/atomic"
 
 	"repro/internal/campaignio"
-	"repro/internal/ckptio"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -66,13 +63,16 @@ type Exec struct {
 	ShardIndex int
 	ShardCount int
 
-	// GoldenImage, if non-empty, is the path of a warmed-state golden image
-	// (internal/ckptio). When the file exists the campaign restores the
-	// warm-up boundary from it instead of simulating there; when it does not,
-	// the campaign warms up and saves the image for the next run, so N shards
-	// pointed at one image pay for warm-up once. The image records the inputs
-	// that produced it; loading a mismatched image is an error.
-	GoldenImage string
+	// GoldenImageDir, if non-empty, is a directory of warmed-state golden
+	// images (internal/ckptio), one per microarchitectural warm-up and named
+	// after it. When the campaign's image exists it restores the warm-up
+	// boundary from it instead of simulating there; when it does not, the
+	// campaign warms up and saves the image for the next run, so N shards
+	// and every campaign that shares the warm-up pay for it once. The image
+	// records the inputs that produced it; loading a mismatched image is an
+	// error. VM campaigns ignore it: their warm-up costs less than an image
+	// load.
+	GoldenImageDir string
 
 	// Interrupt, if non-nil, stops the campaign cleanly when it becomes
 	// readable: in-flight trials drain, the journal tail is flushed, and the
@@ -85,17 +85,10 @@ type Exec struct {
 	noDecodeCache, noEarlyExit bool
 }
 
-// warmImage is the warm-up boundary of a campaign's golden run: simulated
-// there, or restored from / saved to a golden image.
-type warmImage interface {
-	warmUp()
-	loadImage(path string, workers int) error
-	saveImage(path string, workers int) (ckptio.Stats, error)
-}
-
 // faultModel is what one injection campaign adds to the driver.
 type faultModel[T trialRecord] interface {
-	warmImage
+	// warmUp brings the golden run to the warm-up boundary.
+	warmUp() error
 	// plan draws the injection points and every per-slot pick in the
 	// campaign's fixed RNG order, and returns the number of points.
 	plan() (points int, err error)
@@ -212,7 +205,7 @@ func run[T trialRecord](spec campaignSpec, x Exec, m faultModel[T]) ([]T, error)
 		tick()
 	}
 
-	if err := warm(&x, prefix, m); err != nil {
+	if err := m.warmUp(); err != nil {
 		jr.finish(nil, "")
 		return nil, err
 	}
@@ -274,38 +267,4 @@ func run[T trialRecord](spec campaignSpec, x Exec, m faultModel[T]) ([]T, error)
 		return nil, err
 	}
 	return trials, nil
-}
-
-// warm brings the golden run to the warm-up boundary: from x.GoldenImage when
-// the file holds a valid image, otherwise by simulating there and then
-// saving the image. A structurally invalid image (torn, bit-rotted, never an
-// image) is treated as absent and rewritten; a healthy image of another
-// configuration is an error (see invalidGoldenImage). The restored state is
-// bit-identical to the simulated one, so results are too.
-func warm(x *Exec, prefix string, m warmImage) error {
-	path, workers := x.GoldenImage, max(x.Workers, 1)
-	if path != "" {
-		switch err := m.loadImage(path, workers); {
-		case err == nil:
-			x.Obs.Counter(prefix + "_golden_image_loaded_total").Inc()
-			return nil
-		case invalidGoldenImage(err):
-			x.Obs.Counter(prefix + "_golden_image_invalid_total").Inc()
-		case !errors.Is(err, fs.ErrNotExist):
-			return fmt.Errorf("inject: golden image %s: %w", path, err)
-		}
-	}
-	m.warmUp()
-	if path == "" {
-		return nil
-	}
-	st, err := m.saveImage(path, workers)
-	if err != nil {
-		return fmt.Errorf("inject: writing golden image %s: %w", path, err)
-	}
-	x.Obs.Counter(prefix + "_golden_image_saved_total").Inc()
-	x.Obs.Counter(prefix + "_golden_image_frames_total").Add(int64(st.Frames))
-	x.Obs.Counter(prefix + "_golden_image_plain_bytes_total").Add(st.PlainBytes)
-	x.Obs.Counter(prefix + "_golden_image_stored_bytes_total").Add(st.StoredBytes)
-	return nil
 }

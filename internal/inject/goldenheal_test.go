@@ -16,8 +16,8 @@ import (
 // A structurally invalid golden image — a torn copy, bit rot, a file that was
 // never an image — must behave exactly like an absent one: the campaign warms
 // up from scratch, rewrites the image atomically, and produces byte-identical
-// results. Only a healthy image for a DIFFERENT configuration stays a hard
-// error (overwriting it would destroy another campaign's warm-up).
+// results. Only a healthy image of a DIFFERENT warm-up stays a hard error
+// (overwriting it would destroy that warm-up).
 
 func TestUArchGoldenImageSelfHealsInvalidFile(t *testing.T) {
 	cfg := smallUArch(workload.Gzip)
@@ -41,7 +41,7 @@ func TestUArchGoldenImageSelfHealsInvalidFile(t *testing.T) {
 		"truncated": func(t *testing.T, path string) {
 			// A valid image cut in half: the torn-copy case.
 			save := cfg
-			save.GoldenImage = path
+			save.GoldenImageDir = filepath.Dir(path)
 			if _, err := RunUArch(save); err != nil {
 				t.Fatal(err)
 			}
@@ -55,11 +55,9 @@ func TestUArchGoldenImageSelfHealsInvalidFile(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			img := filepath.Join(t.TempDir(), "warm.golden")
-			corrupt(t, img)
-
 			heal := cfg
-			heal.GoldenImage = img
+			heal.GoldenImageDir = t.TempDir()
+			corrupt(t, heal.goldenImage())
 			heal.Obs = obs.NewRegistry()
 			healed, err := RunUArch(heal)
 			if err != nil {
@@ -77,7 +75,7 @@ func TestUArchGoldenImageSelfHealsInvalidFile(t *testing.T) {
 
 			// The rewritten image is complete: the next run loads it.
 			load := cfg
-			load.GoldenImage = img
+			load.GoldenImageDir = heal.GoldenImageDir
 			load.Obs = obs.NewRegistry()
 			loaded, err := RunUArch(load)
 			if err != nil {
@@ -93,66 +91,22 @@ func TestUArchGoldenImageSelfHealsInvalidFile(t *testing.T) {
 	}
 }
 
-func TestVMGoldenImageSelfHealsInvalidFile(t *testing.T) {
-	cfg := smallVM(workload.Gzip, false)
-	cfg.Trials, cfg.Points = 8, 2
-	plain, err := RunVM(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	img := filepath.Join(t.TempDir(), "warm.golden")
-	if err := os.WriteFile(img, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	heal := cfg
-	heal.GoldenImage = img
-	heal.Obs = obs.NewRegistry()
-	healed, err := RunVM(heal)
-	if err != nil {
-		t.Fatalf("campaign did not self-heal: %v", err)
-	}
-	if !reflect.DeepEqual(plain.Trials, healed.Trials) {
-		t.Fatal("self-healed trials differ from warm-up run")
-	}
-	if got := heal.Obs.Counter("campaign_vm_golden_image_invalid_total").Value(); got != 1 {
-		t.Fatalf("invalid_total = %d, want 1", got)
-	}
-
-	load := cfg
-	load.GoldenImage = img
-	load.Obs = obs.NewRegistry()
-	if _, err := RunVM(load); err != nil {
-		t.Fatalf("healed image does not load: %v", err)
-	}
-	if got := load.Obs.Counter("campaign_vm_golden_image_loaded_total").Value(); got != 1 {
-		t.Fatalf("loaded_total = %d, want 1", got)
-	}
-}
-
 // Self-healing must not extend to mismatched-but-healthy images.
 func TestGoldenImageMismatchIsNotHealed(t *testing.T) {
-	img := filepath.Join(t.TempDir(), "warm.golden")
 	cfg := smallUArch(workload.Gzip)
 	cfg.Points, cfg.TrialsPerPoint = 1, 2
-	cfg.GoldenImage = img
-	if _, err := RunUArch(cfg); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := cfg
-	other.Seed = 99
-	other.Obs = obs.NewRegistry()
-	if _, err := RunUArch(other); !errors.Is(err, pipeline.ErrGoldenMismatch) {
+	cfg.GoldenImageDir = t.TempDir()
+	before := mismatchedImage(t, cfg)
+	cfg.Obs = obs.NewRegistry()
+	if _, err := RunUArch(cfg); !errors.Is(err, pipeline.ErrGoldenMismatch) {
 		t.Fatalf("mismatched image: got %v, want ErrGoldenMismatch", err)
 	}
-	if got := other.Obs.Counter("campaign_uarch_golden_image_invalid_total").Value(); got != 0 {
-		t.Fatalf("invalid_total = %d for a mismatched image, want 0", got)
+	for _, c := range []string{"invalid", "saved"} {
+		if got := cfg.Obs.Counter("campaign_uarch_golden_image_" + c + "_total").Value(); got != 0 {
+			t.Fatalf("%s_total = %d for a mismatched image, want 0", c, got)
+		}
 	}
-	after, err := os.ReadFile(img)
+	after, err := os.ReadFile(cfg.goldenImage())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +121,12 @@ func TestGoldenImageMismatchIsNotHealed(t *testing.T) {
 // image completely or not at all, and the campaign returns ErrInterrupted
 // only after the write is durable.
 func TestInterruptAroundGoldenImageWriteLeavesCompleteImage(t *testing.T) {
-	dir := t.TempDir()
-	img := filepath.Join(dir, "warm.golden")
+	cfg := smallUArch(workload.Gzip)
+	cfg.Points, cfg.TrialsPerPoint = 2, 4
+	cfg.GoldenImageDir = t.TempDir()
+	img := cfg.goldenImage()
 	// A stale temp file from a hypothetical earlier crash must be inert.
-	stale := filepath.Join(dir, "warm.golden.tmp-stale")
+	stale := img + ".tmp-stale"
 	if err := os.WriteFile(stale, []byte("half-written"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +134,6 @@ func TestInterruptAroundGoldenImageWriteLeavesCompleteImage(t *testing.T) {
 	pre := make(chan struct{})
 	close(pre) // interrupt already pending when the campaign starts
 
-	cfg := smallUArch(workload.Gzip)
-	cfg.Points, cfg.TrialsPerPoint = 2, 4
-	cfg.GoldenImage = img
 	cfg.Interrupt = pre
 	if _, err := RunUArch(cfg); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
@@ -209,36 +162,17 @@ func TestInterruptAroundGoldenImageWriteLeavesCompleteImage(t *testing.T) {
 	}
 
 	// The only non-temp artifact in the directory is the finished image.
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(cfg.GoldenImageDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() == "warm.golden" || e.Name() == filepath.Base(stale) {
+		if e.Name() == filepath.Base(img) || e.Name() == filepath.Base(stale) {
 			continue
 		}
 		if strings.Contains(e.Name(), ".tmp") {
 			t.Fatalf("leftover temp file %s after interrupted run", e.Name())
 		}
 		t.Fatalf("unexpected file %s in golden-image directory", e.Name())
-	}
-
-	// Same guarantee on the VM side.
-	vimg := filepath.Join(dir, "vm.golden")
-	vcfg := smallVM(workload.Gzip, false)
-	vcfg.Trials, vcfg.Points = 8, 2
-	vcfg.GoldenImage = vimg
-	vcfg.Interrupt = pre
-	if _, err := RunVM(vcfg); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted vm run: got %v, want ErrInterrupted", err)
-	}
-	vcont := vcfg
-	vcont.Interrupt = nil
-	vcont.Obs = obs.NewRegistry()
-	if _, err := RunVM(vcont); err != nil {
-		t.Fatalf("vm image written during interrupted run does not load: %v", err)
-	}
-	if got := vcont.Obs.Counter("campaign_vm_golden_image_loaded_total").Value(); got != 1 {
-		t.Fatalf("vm loaded_total = %d, want 1", got)
 	}
 }

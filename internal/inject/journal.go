@@ -56,8 +56,8 @@ func (c UArchConfig) planString() string {
 	// spelling it had when it was a protection scheme of its own rather
 	// than a policy; every other policy plans as harden=0 plus its
 	// fingerprint, and no policy as harden=0 alone. Keeping that spelling
-	// keeps the campaign IDs that name existing fig6 campaign directories
-	// and golden images, and the config hash inside their merged manifests.
+	// keeps the campaign IDs that name existing fig6 campaign directories,
+	// and the config hash inside their merged manifests.
 	harden, suffix := 0, ""
 	if c.Policy != nil {
 		if fp := c.Policy.Fingerprint(); fp == protect.LowHangingFruit().Fingerprint() {

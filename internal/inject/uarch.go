@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/ckptio"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -320,16 +319,6 @@ func (m *uarchModel) plan() (int, error) {
 		m.picks[i] = uarchPick{ref: ref, isLatch: isLatch}
 	}
 	return cfg.Points, nil
-}
-
-func (m *uarchModel) warmUp() { m.master.RunCycles(m.cfg.WarmupCycles) }
-
-func (m *uarchModel) loadImage(path string, workers int) error {
-	return m.master.LoadGoldenImage(path, []byte(m.cfg.goldenKey()), workers)
-}
-
-func (m *uarchModel) saveImage(path string, workers int) (ckptio.Stats, error) {
-	return m.master.WriteGoldenImage(path, []byte(m.cfg.goldenKey()), workers)
 }
 
 func (m *uarchModel) advance(i int) (bool, error) {

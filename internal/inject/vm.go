@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/arch"
-	"repro/internal/ckptio"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -238,24 +237,17 @@ func (m *vmModel) plan() (int, error) {
 
 // warmUp walks the walker to the warm-up boundary. Injection points all lie
 // at or past it, so pre-walking replays exactly the Steps advance would have
-// taken; memory-journal records written before the first point's mark are
-// never rewound, only discarded, so a run restored from an image is
-// byte-identical (TestVMGoldenImageEquivalence).
-func (m *vmModel) warmUp() { m.walkTo(m.cfg.Warmup) }
+// taken.
+func (m *vmModel) warmUp() error {
+	m.walkTo(m.cfg.Warmup)
+	return nil
+}
 
 func (m *vmModel) walkTo(inst uint64) {
 	var ev arch.Event
 	for m.sim.InstRet < inst && !m.sim.Stopped() {
 		m.sim.StepInto(&ev)
 	}
-}
-
-func (m *vmModel) loadImage(path string, workers int) error {
-	return loadVMGolden(path, []byte(m.cfg.goldenKey()), m.sim, m.mem, workers)
-}
-
-func (m *vmModel) saveImage(path string, workers int) (ckptio.Stats, error) {
-	return writeVMGolden(path, []byte(m.cfg.goldenKey()), m.sim, m.mem, workers)
 }
 
 // advance walks the walker to point i, then finds the next register-writing

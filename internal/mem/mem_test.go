@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -507,6 +508,26 @@ func TestMemoLoadStateReadsLoadedContents(t *testing.T) {
 	}
 	if got, _ := m.ReadQ(a); got != 0x3333 {
 		t.Errorf("ReadQ = %#x, want 0x3333", got)
+	}
+}
+
+// TestLoadStateRefusesWrappingPageCount: a page count whose product with the
+// record size wraps to the blob's length is refused. Before the check
+// divided, a 9-byte blob claiming 1/(9+PageSize) mod 2^64 pages passed it and
+// LoadState read past the blob's end.
+func TestLoadStateRefusesWrappingPageCount(t *testing.T) {
+	// The inverse of the odd record size mod 2^64, by Newton's iteration.
+	rec := uint64(9 + PageSize)
+	inv := rec
+	for i := 0; i < 5; i++ {
+		inv *= 2 - rec*inv
+	}
+	if rec*inv != 1 {
+		t.Fatalf("no inverse: %d", inv)
+	}
+	blob := append(binary.LittleEndian.AppendUint64(nil, inv), 0)
+	if err := New().LoadState(blob); err == nil {
+		t.Fatal("LoadState accepted a 9-byte blob claiming a wrapped page count")
 	}
 }
 

@@ -38,7 +38,8 @@ func (m *Memory) LoadState(b []byte) error {
 	}
 	n := binary.LittleEndian.Uint64(b[:8])
 	const rec = 9 + PageSize
-	if uint64(len(b)-8) != n*rec {
+	// Divide rather than multiply: n*rec wraps for a crafted count.
+	if body := uint64(len(b) - 8); body%rec != 0 || body/rec != n {
 		return fmt.Errorf("mem: state blob %d bytes does not hold %d pages", len(b), n)
 	}
 	pages := make(map[uint64]*page, n)
@@ -57,30 +58,6 @@ func (m *Memory) LoadState(b []byte) error {
 	m.clearMemo()
 	m.journal = m.journal[:0]
 	return nil
-}
-
-// JournalImage serialises the write-journal records at index from onward:
-// each as u64 addr | u8 n | n overwritten bytes. This is the undo data one
-// checkpoint interval pins — what the paper's gated store buffer holds — so
-// its serialised size is the natural unit for pricing checkpoint storage
-// traffic. Purely observational: the journal itself is untouched.
-func (m *Memory) JournalImage(from Mark) []byte {
-	if from < 0 {
-		from = 0
-	}
-	if int(from) >= len(m.journal) {
-		return nil
-	}
-	recs := m.journal[from:]
-	out := make([]byte, 0, len(recs)*17)
-	var u [8]byte
-	for _, rec := range recs {
-		binary.LittleEndian.PutUint64(u[:], rec.addr)
-		out = append(out, u[:]...)
-		out = append(out, rec.n)
-		out = append(out, rec.old[:rec.n]...)
-	}
-	return out
 }
 
 // sortedVPNs returns the mapped virtual page numbers in ascending order.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/pipeline"
 	"repro/internal/restore"
 	"repro/internal/stats"
@@ -36,16 +35,6 @@ type Inputs struct {
 	// FlushPenalty is the fixed cycle cost of one rollback: pipeline
 	// flush plus refetch-to-first-commit latency.
 	FlushPenalty float64
-
-	// CheckpointBytes is the mean stored size of one checkpoint snapshot
-	// (checkpoint.CostStats.BytesPerCheckpoint, measured with
-	// MeasureCheckpointCost) and CheckpointBandwidth the bytes per cycle
-	// the checkpoint store absorbs. Together they relax the paper's
-	// zero-latency checkpoint assumption: each interval is charged
-	// bytes/bandwidth extra cycles. Either left zero keeps the classic
-	// zero-cost model — existing numbers are unchanged.
-	CheckpointBytes     float64
-	CheckpointBandwidth float64
 }
 
 // MeasureInputs runs the detailed pipeline on a benchmark and derives the
@@ -98,16 +87,12 @@ func Average(inputs []Inputs) Inputs {
 		out.ReplayCPI += in.ReplayCPI
 		out.SymptomRate += in.SymptomRate
 		out.FlushPenalty += in.FlushPenalty
-		out.CheckpointBytes += in.CheckpointBytes
-		out.CheckpointBandwidth += in.CheckpointBandwidth
 	}
 	n := float64(len(inputs))
 	out.BaseCPI /= n
 	out.ReplayCPI /= n
 	out.SymptomRate /= n
 	out.FlushPenalty /= n
-	out.CheckpointBytes /= n
-	out.CheckpointBandwidth /= n
 	return out
 }
 
@@ -123,28 +108,15 @@ func Average(inputs []Inputs) Inputs {
 // with a full two-interval re-execution. Expected overhead/inst =
 // P(≥1 symptom in L)/L × (flush + 2·L·replayCPI), with the symptom count
 // per interval approximated as Poisson(rate·L).
-//
-// When CheckpointBytes and CheckpointBandwidth are both set, each interval
-// additionally pays bytes/bandwidth cycles to drain its snapshot into the
-// checkpoint store — a policy-independent bytes/bandwidth/L per instruction.
 func Overhead(in Inputs, interval uint64, policy restore.Policy) float64 {
 	elle := float64(interval)
 	switch policy {
 	case restore.PolicyDelayed:
 		pAny := 1 - math.Exp(-in.SymptomRate*elle)
-		return pAny/elle*(in.FlushPenalty+2*elle*in.ReplayCPI) + checkpointOverhead(in, elle)
+		return pAny / elle * (in.FlushPenalty + 2*elle*in.ReplayCPI)
 	default: // immediate
-		return in.SymptomRate*(in.FlushPenalty+1.5*elle*in.ReplayCPI) + checkpointOverhead(in, elle)
+		return in.SymptomRate * (in.FlushPenalty + 1.5*elle*in.ReplayCPI)
 	}
-}
-
-// checkpointOverhead is the extra cycles per instruction spent writing
-// checkpoint snapshots; zero unless both pricing inputs are set.
-func checkpointOverhead(in Inputs, elle float64) float64 {
-	if in.CheckpointBytes <= 0 || in.CheckpointBandwidth <= 0 {
-		return 0
-	}
-	return in.CheckpointBytes / in.CheckpointBandwidth / elle
 }
 
 // Speedup returns relative performance against a baseline without
@@ -194,39 +166,6 @@ func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
 		s.Add(float64(iv), sum/float64(len(benches)))
 	}
 	return s, nil
-}
-
-// MeasureCheckpointCost runs a fault-free ReStore processor with checkpoint
-// costing enabled and returns the priced snapshot traffic: how many bytes
-// one checkpoint stores once the register file and the interval's buffered
-// memory updates go through the ckptio encoding. Feed
-// CostStats.BytesPerCheckpoint into Inputs.CheckpointBytes to price the
-// traffic in the analytic model.
-func MeasureCheckpointCost(bench workload.Benchmark, seed int64, insts uint64,
-	pcfg pipeline.Config, rcfg restore.Config) (checkpoint.CostStats, error) {
-
-	prog, err := workload.Generate(bench, workload.Config{Seed: seed})
-	if err != nil {
-		return checkpoint.CostStats{}, err
-	}
-	m, err := prog.NewMemory()
-	if err != nil {
-		return checkpoint.CostStats{}, err
-	}
-	pipe, err := pipeline.New(pcfg, m, prog.Entry)
-	if err != nil {
-		return checkpoint.CostStats{}, err
-	}
-	proc := restore.New(pipe, rcfg)
-	proc.Store().EnableCosting()
-	if _, err := proc.Run(insts, insts*400); err != nil {
-		return checkpoint.CostStats{}, err
-	}
-	cost := proc.Store().Cost()
-	if cost.Checkpoints == 0 {
-		return cost, fmt.Errorf("perf: no checkpoints created on %s", bench)
-	}
-	return cost, nil
 }
 
 // MeasureSlowdown cross-checks the analytic model by direct simulation: it

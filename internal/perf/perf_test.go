@@ -136,63 +136,6 @@ func TestAverage(t *testing.T) {
 	}
 }
 
-// TestCheckpointPricing pins the opt-in nature of the checkpoint-cost term:
-// zero pricing inputs reproduce the classic zero-latency numbers exactly,
-// and a priced model loses speedup monotonically in the per-checkpoint size.
-func TestCheckpointPricing(t *testing.T) {
-	base := referenceInputs()
-	priced := base
-	priced.CheckpointBytes = 2048
-	priced.CheckpointBandwidth = 16
-	for _, policy := range []restore.Policy{restore.PolicyImmediate, restore.PolicyDelayed} {
-		for _, iv := range []uint64{50, 100, 500} {
-			classic := Overhead(base, iv, policy)
-			half := base
-			half.CheckpointBytes = 2048 // bandwidth unset: still classic
-			if got := Overhead(half, iv, policy); got != classic {
-				t.Fatalf("policy %v iv %d: bytes without bandwidth changed overhead: %v vs %v",
-					policy, iv, got, classic)
-			}
-			withCost := Overhead(priced, iv, policy)
-			want := classic + 2048.0/16.0/float64(iv)
-			if math.Abs(withCost-want) > 1e-12 {
-				t.Fatalf("policy %v iv %d: priced overhead %v, want %v", policy, iv, withCost, want)
-			}
-			if Speedup(priced, iv, policy) >= Speedup(base, iv, policy) {
-				t.Fatalf("policy %v iv %d: pricing did not reduce speedup", policy, iv)
-			}
-		}
-	}
-	bigger := priced
-	bigger.CheckpointBytes *= 4
-	if Speedup(bigger, 100, restore.PolicyImmediate) >= Speedup(priced, 100, restore.PolicyImmediate) {
-		t.Fatal("larger checkpoints should cost more")
-	}
-}
-
-// TestMeasureCheckpointCost drives a fault-free ReStore processor with
-// costing on and sanity-checks the priced traffic.
-func TestMeasureCheckpointCost(t *testing.T) {
-	cost, err := MeasureCheckpointCost(workload.GCC, 42, 20_000, pipeline.DefaultConfig(),
-		restore.Config{Interval: 200, Policy: restore.PolicyImmediate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("gcc checkpoint cost: %+v (%.0f B/cp, ratio %.2f)",
-		cost, cost.BytesPerCheckpoint(), cost.Ratio())
-	// ~20k instructions at interval 200 → on the order of 100 checkpoints
-	// (replays add more); anything wildly off means costing miscounts.
-	if cost.Checkpoints < 50 || cost.Checkpoints > 10_000 {
-		t.Fatalf("implausible checkpoint count %d", cost.Checkpoints)
-	}
-	if cost.StoredBytes <= 0 || cost.RawBytes < cost.Checkpoints*34*8 {
-		t.Fatalf("implausible byte totals: %+v", cost)
-	}
-	if cost.BytesPerCheckpoint() < 34*8 {
-		t.Fatalf("mean checkpoint smaller than its register frame: %v", cost.BytesPerCheckpoint())
-	}
-}
-
 func TestModelAgreesWithSimulation(t *testing.T) {
 	// The analytic model and a direct simulation of the ReStore processor
 	// must agree on the order of magnitude of the fault-free slowdown.

@@ -205,26 +205,6 @@ func (p *Pipeline) LoadGoldenImage(path string, wantMeta []byte, workers int) er
 	return p.mem.LoadState(img)
 }
 
-// GoldenMeta reads just the identification buffer of a golden image.
-func GoldenMeta(path string) ([]byte, error) {
-	f, err := ckptio.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if f.Frames() == 0 {
-		return nil, fmt.Errorf("%w: image has no frames", ErrGoldenMismatch)
-	}
-	bufs, err := f.ReadFrame(0)
-	if err != nil {
-		return nil, err
-	}
-	if len(bufs) != 1 {
-		return nil, fmt.Errorf("%w: meta frame has %d buffers", ErrGoldenMismatch, len(bufs))
-	}
-	return bufs[0], nil
-}
-
 // firstBuf returns a frame's first buffer for error messages (nil-safe).
 func firstBuf(bufs [][]byte) []byte {
 	if len(bufs) == 0 {

@@ -151,12 +151,3 @@ func TestBindArrayRepointsEarlierSlices(t *testing.T) {
 		t.Fatal("hash missed a write to an early-bound slice")
 	}
 }
-
-// TestSnapshotRestoreSizeMismatch: Restore must refuse a snapshot from a
-// differently shaped space rather than partially writing state.
-func TestSnapshotRestoreSizeMismatch(t *testing.T) {
-	p := newBenchPipeline(t, workload.Gzip, DefaultConfig())
-	s := p.State()
-	snap := s.Snapshot()
-	mustPanic(t, "snapshot size mismatch", func() { s.Restore(snap[:len(snap)-1]) })
-}

@@ -353,26 +353,6 @@ func TestStateFlipChangesHashAndIsReversible(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	p := newBenchPipeline(t, workload.Bzip2, DefaultConfig())
-	p.RunCycles(3000)
-	snap := p.State().Snapshot()
-	h := p.State().Hash()
-	// Corrupt a swath of state.
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 50; i++ {
-		ref, _ := p.State().NthBit(uint64(rng.Int63n(int64(p.State().TotalBits(false)))))
-		p.State().Flip(ref)
-	}
-	if p.State().Hash() == h {
-		t.Fatal("corruption had no effect")
-	}
-	p.State().Restore(snap)
-	if p.State().Hash() != h {
-		t.Fatal("restore did not reproduce the snapshot")
-	}
-}
-
 func TestRandomFlipsNeverPanic(t *testing.T) {
 	// The cardinal robustness property: ANY single bit flip anywhere in
 	// the state space, at any point in execution, must leave the

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +74,7 @@ func TestFlipIsInvolution(t *testing.T) {
 	p.RunCycles(1000)
 	s := p.State()
 	rng := rand.New(rand.NewSource(8))
-	before := s.Snapshot()
+	before := stateWords(s)
 	// Any sequence of flips applied twice in reverse is the identity.
 	var refs []BitRef
 	for i := 0; i < 100; i++ {
@@ -84,12 +85,23 @@ func TestFlipIsInvolution(t *testing.T) {
 	for i := len(refs) - 1; i >= 0; i-- {
 		s.Flip(refs[i])
 	}
-	after := s.Snapshot()
+	after := stateWords(s)
 	for i := range before {
 		if before[i] != after[i] {
-			t.Fatalf("word %d (%s) not restored", i, s.Elements()[i].Name)
+			t.Fatalf("state word %d not restored", i)
 		}
 	}
+}
+
+// stateWords copies every state word: the packed backing, then the scalar
+// words in element order.
+func stateWords(s *StateSpace) []uint64 {
+	s.reindex()
+	out := slices.Clone(s.packed)
+	for _, idx := range s.stragglers {
+		out = append(out, *s.elems[idx].word)
+	}
+	return out
 }
 
 func TestLatchFractionPlausible(t *testing.T) {

@@ -337,32 +337,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Snapshot copies all state words out; Restore writes them back. Used by
-// golden-trace caching to rewind a pipeline to an injection point without
-// re-running from the start. The packed backing copies wholesale; scalar
-// words follow in element order.
-func (s *StateSpace) Snapshot() []uint64 {
-	s.reindex()
-	out := make([]uint64, len(s.packed)+len(s.stragglers))
-	copy(out, s.packed)
-	for i, idx := range s.stragglers {
-		out[len(s.packed)+i] = *s.elems[idx].word
-	}
-	return out
-}
-
-// Restore writes a snapshot produced by Snapshot back into the live words.
-func (s *StateSpace) Restore(snap []uint64) {
-	s.reindex()
-	if len(snap) != len(s.packed)+len(s.stragglers) {
-		panic("pipeline: snapshot size mismatch")
-	}
-	copy(s.packed, snap)
-	for i, idx := range s.stragglers {
-		*s.elems[idx].word = snap[len(s.packed)+i]
-	}
-}
-
 // copyPackedFrom copies the packed backing words from an identically
 // registered space — the ResetFrom/Clone fast path that replaces
 // per-element pointer chasing with one memmove. Scalar words are the

@@ -266,10 +266,6 @@ func New(pipe *pipeline.Pipeline, cfg Config) *Processor {
 // and examples).
 func (p *Processor) Pipeline() *pipeline.Pipeline { return p.pipe }
 
-// Store exposes the checkpoint store (for checkpoint-cost accounting; see
-// checkpoint.Store.EnableCosting).
-func (p *Processor) Store() *checkpoint.Store { return p.store }
-
 // Report returns a copy of the activity counters.
 func (p *Processor) Report() Report {
 	r := p.report
