@@ -46,6 +46,20 @@ func TestCampaignMetricsInert(t *testing.T) {
 		if m, ok := reg.Snapshot().Get("pipeline_rob_occupancy"); !ok || m.Count == 0 {
 			t.Error("pipeline occupancy histogram empty on instrumented campaign")
 		}
+		// The work counts are deterministic: a parallel run simulates the
+		// same faulty cycles and resolves the same trials from the golden
+		// log as a serial one.
+		par := obs.NewRegistry()
+		cfg.Obs, cfg.Workers = par, 4
+		if _, err := RunUArch(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"campaign_uarch_trial_cycles_total", "campaign_uarch_resolved_trials_total"} {
+			serial, parallel := reg.Counter(name).Value(), par.Counter(name).Value()
+			if serial <= 0 || serial != parallel {
+				t.Errorf("%s = %d serial, %d at 4 workers; want equal and above 0", name, serial, parallel)
+			}
+		}
 	})
 
 	t.Run("vm", func(t *testing.T) {
@@ -125,7 +139,9 @@ func assertCampaignAccounting(t *testing.T, reg *obs.Registry, prefix string, tr
 }
 
 // A parallel campaign additionally accounts for the clone pool and the task
-// queue; the worker-busy timer must cover every trial.
+// queue. Every trial either takes a clone from the pool or is resolved from
+// the golden log, and the worker-busy timer and the queue cover exactly the
+// simulated ones.
 func TestParallelCampaignPoolAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := smallUArch(workload.Gzip)
@@ -138,17 +154,19 @@ func TestParallelCampaignPoolAccounting(t *testing.T) {
 	trials := int64(len(r.Trials))
 	hits := reg.Counter("campaign_uarch_clone_pool_hits_total").Value()
 	misses := reg.Counter("campaign_uarch_clone_pool_misses_total").Value()
-	if hits+misses != trials {
-		t.Errorf("pool hits(%d)+misses(%d) = %d, want %d trials", hits, misses, hits+misses, trials)
+	resolved := reg.Counter("campaign_uarch_resolved_trials_total").Value()
+	if hits+misses+resolved != trials {
+		t.Errorf("pool hits(%d)+misses(%d)+resolved(%d) = %d, want %d trials",
+			hits, misses, resolved, hits+misses+resolved, trials)
 	}
 	if misses == 0 {
 		t.Error("a fresh pool cannot start with zero misses")
 	}
-	if got := reg.Timer("campaign_uarch_worker_busy").Count(); got != trials {
-		t.Errorf("worker_busy count = %d, want %d", got, trials)
+	simulated := trials - resolved
+	if got := reg.Timer("campaign_uarch_worker_busy").Count(); got != simulated {
+		t.Errorf("worker_busy count = %d, want %d simulated trials", got, simulated)
 	}
-	if reg.Hist("campaign_uarch_queue_depth").Count() != trials {
-		t.Errorf("queue_depth observations = %d, want %d",
-			reg.Hist("campaign_uarch_queue_depth").Count(), trials)
+	if got := reg.Hist("campaign_uarch_queue_depth").Count(); got != simulated {
+		t.Errorf("queue_depth observations = %d, want %d simulated trials", got, simulated)
 	}
 }

@@ -150,6 +150,10 @@ type uarchGolden struct {
 	// control-flow symptoms (the paper classifies cfv as faults that
 	// CAUSED incorrect control flow).
 	mispredicts []mispRec
+	// touched holds every physical register the golden run reads or writes
+	// in the window; a trial that flips any other register is resolved
+	// without simulation (see prepare).
+	touched pipeline.RegMask
 }
 
 // goldenCommit is what a trial compares of one golden commit: 64 bytes,
@@ -235,6 +239,7 @@ type uarchModel struct {
 	protMap *protect.Map
 	offsets []uint64    // injection points, cycles past warm-up, ascending
 	picks   []uarchPick // per slot
+	point   int         // index of the point the master is at
 	base    uint64      // cycle the master has reached
 	golden  *uarchGolden
 	pool    *forkPool[*pipeline.Pipeline]
@@ -246,6 +251,16 @@ type uarchModel struct {
 	rec          *pipeline.Pipeline
 	log          *goldenLog
 	goldenCycles *obs.Counter // cycles the recorder simulated
+
+	// The recorder marks the registers it reads or writes into access each
+	// cycle, and folds them into touched[i] for every point i whose window,
+	// cycles (p, p+W], holds that cycle: those are points winLo..winHi-1.
+	access       pipeline.RegMask
+	touched      []pipeline.RegMask // per point
+	winLo, winHi int
+
+	trialCycles *obs.Counter // faulty cycles simulated
+	resolved    *obs.Counter // trials resolved from the golden log
 }
 
 // goldenLog is the golden run from cycle base on: per cycle, the state digest
@@ -273,6 +288,8 @@ func newUArchModel(cfg *UArchConfig, prog *workload.Program) (*uarchModel, error
 		cfg:          cfg,
 		base:         cfg.WarmupCycles,
 		goldenCycles: cfg.Obs.Counter("campaign_uarch_golden_cycles_total"),
+		trialCycles:  cfg.Obs.Counter("campaign_uarch_trial_cycles_total"),
+		resolved:     cfg.Obs.Counter("campaign_uarch_resolved_trials_total"),
 	}
 	if m.master, err = pipeline.New(cfg.pipelineConfig(), mem, prog.Entry); err != nil {
 		return nil, err
@@ -307,6 +324,7 @@ func (m *uarchModel) plan() (int, error) {
 		m.offsets[i] = uint64(rng.Int63n(int64(cfg.SpreadCycles)))
 	}
 	sort.Slice(m.offsets, func(i, j int) bool { return m.offsets[i] < m.offsets[j] })
+	m.touched = make([]pipeline.RegMask, cfg.Points)
 	if cfg.LatchesOnly && m.space.TotalBits(true) == 0 {
 		return 0, fmt.Errorf("latch-only campaign over 0 latch bits: %w", ErrNoEligibleBits)
 	}
@@ -322,6 +340,7 @@ func (m *uarchModel) plan() (int, error) {
 }
 
 func (m *uarchModel) advance(i int) (bool, error) {
+	m.point = i
 	if target := m.cfg.WarmupCycles + m.offsets[i]; target > m.base {
 		m.master.RunCycles(target - m.base)
 		m.base = target
@@ -354,6 +373,7 @@ func (m *uarchModel) record() (bool, error) {
 		return false, err
 	}
 	m.golden = m.log.view(start, m.cfg.WindowCycles, m.span())
+	m.golden.touched = m.touched[m.point]
 	return true, nil
 }
 
@@ -362,6 +382,7 @@ func (m *uarchModel) record() (bool, error) {
 // fresh log. The old log is left to the trials still reading it.
 func (m *uarchModel) forkRecorder(start uint64) {
 	m.rec = m.master.Clone()
+	m.rec.MarkRegAccess(&m.access)
 	m.rec.CommitHook = func(ev pipeline.CommitEvent) {
 		m.log.commits = append(m.log.commits, goldenCommit{
 			pc: ev.PC, target: ev.Target, destVal: ev.DestVal, memAddr: ev.MemAddr, storeVal: ev.StoreVal,
@@ -424,12 +445,13 @@ func (m *uarchModel) newLog(start uint64) *goldenLog {
 	}
 }
 
-// extendLog steps the recorder up to cycle end, logging every cycle. As at
-// every golden point, a halt truncates the campaign and any other stop is an
-// error.
+// extendLog steps the recorder up to cycle end, logging every cycle and the
+// registers it touches. As at every golden point, a halt truncates the
+// campaign and any other stop is an error.
 func (m *uarchModel) extendLog(end uint64) (bool, error) {
 	for m.rec.Cycles() < end {
 		m.rec.Cycle()
+		m.foldAccess(m.rec.Cycles())
 		if m.rec.Status() == pipeline.StatusHalted {
 			return false, nil // program ends inside the span: truncate
 		}
@@ -443,6 +465,26 @@ func (m *uarchModel) extendLog(end uint64) (bool, error) {
 		})
 	}
 	return true, nil
+}
+
+// foldAccess adds the registers the recorder touched in cycle c to the mask
+// of every point whose window holds c, and clears them for the next cycle.
+// The recorder only moves forward, so the windows that hold c only move
+// forward too.
+func (m *uarchModel) foldAccess(c uint64) {
+	at := func(i int) uint64 { return m.cfg.WarmupCycles + m.offsets[i] }
+	for m.winHi < len(m.offsets) && at(m.winHi) < c {
+		m.winHi++
+	}
+	for m.winLo < m.winHi && at(m.winLo)+m.cfg.WindowCycles < c {
+		m.winLo++
+	}
+	for i := m.winLo; i < m.winHi; i++ {
+		for w := range m.access {
+			m.touched[i][w] |= m.access[w]
+		}
+	}
+	m.access = pipeline.RegMask{}
 }
 
 // view returns the golden continuation of the point at start: the commits and
@@ -486,12 +528,23 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 		out.Protected = true
 		return true
 	}
+	if tag, ok := m.master.PhysReg(pick.ref.Elem); ok && !m.cfg.noEarlyExit && !m.golden.touched.Has(tag) {
+		// The golden run never reads or writes this register in the window,
+		// and Cycle reaches a register's value only through the register
+		// file's read and write. So the faulty clone steps exactly as the
+		// golden run does, and the flipped word, which the golden run holds
+		// constant, keeps its state off every golden digest: simulation
+		// would run the window out and find the fault stuck.
+		out.FaultStuck = true
+		m.resolved.Inc()
+		return true
+	}
 	// Clone (or pool-reset) on the dispatching goroutine, while the master
 	// still sits at this point.
 	faulty := m.pool.acquire(m.master)
-	pool, golden, cfg := m.pool, m.golden, m.cfg
+	pool, golden, cfg, cycles := m.pool, m.golden, m.cfg, m.trialCycles
 	w.submit(slot, func() {
-		runUArchTrial(faulty, pick.ref, cfg.BurstBits, golden, cfg.WindowCycles, out, cfg.noEarlyExit)
+		cycles.Add(int64(runUArchTrial(faulty, pick.ref, cfg.BurstBits, golden, cfg.WindowCycles, out, cfg.noEarlyExit)))
 		pool.release(faulty)
 	})
 	return false
@@ -537,8 +590,9 @@ func pickBit(space *pipeline.StateSpace, rng *rand.Rand, latchesOnly bool) (pipe
 // continuation. The trial stops as soon as its classification is decided — a
 // terminal pipeline status or a masked reconvergence — unless noEarlyExit
 // asks for the proof mode, which freezes the decision (trialDecision), runs
-// the window out, and returns the frozen record.
-func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden *uarchGolden, window uint64, trial *UArchTrial, noEarlyExit bool) {
+// the window out, and returns the frozen record. It returns the number of
+// cycles it simulated.
+func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden *uarchGolden, window uint64, trial *UArchTrial, noEarlyExit bool) uint64 {
 	const hashEvery = 16
 
 	// Flip a run of adjacent bits within the element (single-bit unless
@@ -660,7 +714,8 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden 
 	}
 
 	var dec trialDecision
-	for c := uint64(1); c <= window && (noEarlyExit || !dec.decided); c++ {
+	c := uint64(1)
+	for ; c <= window && (noEarlyExit || !dec.decided); c++ {
 		f.Step()
 		if dec.decided {
 			continue // proof mode: run the window out past the decision
@@ -697,7 +752,7 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden 
 		// hooks kept running past the decision, so restore the frozen
 		// record; final classification is skipped either way.
 		*trial = dec.frozen
-		return
+		return c - 1
 	}
 	trial.ArchCorrupt = cfv || regs.n > 0 || len(divergedMem) > 0
 	// The fault is "stuck" when the flipped bit still holds its post-flip
@@ -706,4 +761,5 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden 
 	// self-heal (overwritten back) converge to the golden hash and are
 	// classified masked before reaching here.
 	trial.FaultStuck = f.State().Peek(ref) == flippedBit && !trial.EverDiverged
+	return c - 1
 }

@@ -260,6 +260,23 @@ func (p *Pipeline) CorruptArchReg(r isa.Reg, bit uint) {
 	p.prf.flipBit(p.archRAT.get(uint64(r)), bit)
 }
 
+// MarkRegAccess makes the register file add to *m every physical register
+// it reads or writes from now on; nil turns marking off. Every access counts,
+// including the reads execute makes for sources an instruction does not have.
+// Marking changes nothing the machine computes, and Clone and ResetFrom leave
+// it off.
+func (p *Pipeline) MarkRegAccess(m *RegMask) { p.prf.touched = m }
+
+// PhysReg returns the physical register whose value word is state element
+// elem; ok is false for every other element.
+func (p *Pipeline) PhysReg(elem int) (tag uint64, ok bool) {
+	i := elem - p.prf.first
+	if i < 0 || i >= PhysRegs {
+		return 0, false
+	}
+	return uint64(i), true
+}
+
 // CommitPC returns the PC of the next instruction to retire (the precise
 // architectural PC): the ROB head if work is in flight, else the fetch PC.
 func (p *Pipeline) CommitPC() uint64 {
@@ -271,7 +288,7 @@ func (p *Pipeline) CommitPC() uint64 {
 
 // Clone deep-copies the pipeline, its memory image, caches and predictors.
 // Fault-injection campaigns warm a pipeline to an injection point once and
-// fork a clone per trial. Hooks are not copied.
+// fork a clone per trial. Hooks and register-access marking are not copied.
 func (p *Pipeline) Clone() *Pipeline {
 	n := &Pipeline{}
 	*n = *p
@@ -279,6 +296,7 @@ func (p *Pipeline) Clone() *Pipeline {
 	n.BranchHook = nil
 	n.MissHook = nil
 	n.obsM = nil
+	n.prf.touched = nil
 	n.mem = p.mem.Clone()
 	n.dir = p.dir.Clone()
 	n.btb = p.btb.Clone()
@@ -306,8 +324,8 @@ func (p *Pipeline) Clone() *Pipeline {
 // p must have been built from the same Config as src (e.g. it is an earlier
 // Clone of the same master); the per-trial clone pool in fault-injection
 // campaigns depends on that to recycle one pipeline across thousands of
-// trials instead of allocating each from scratch. Hooks are cleared, as in
-// Clone.
+// trials instead of allocating each from scratch. Hooks and register-access
+// marking are cleared, as in Clone.
 //
 // ResetFrom is the clone pool's re-image path, annotated hot: once the pool
 // reaches steady state (every clone shaped like the master) it must not
@@ -379,6 +397,7 @@ func (p *Pipeline) ResetFrom(src *Pipeline) {
 	p.BranchHook = nil
 	p.MissHook = nil
 	p.obsM = nil
+	p.prf.touched = nil
 }
 
 // Step advances the machine by one clock. It is the campaign engine's trial

@@ -58,3 +58,29 @@ func TestResetFromMatchesClone(t *testing.T) {
 		t.Fatal("mutating the reset fork changed the master")
 	}
 }
+
+// Register-access marking belongs to the pipeline it was turned on for: a
+// Clone of a marking pipeline runs unmarked, and ResetFrom turns off the
+// marking a recycled fork had.
+func TestForksDoNotMarkRegAccess(t *testing.T) {
+	master := newBenchPipeline(t, workload.Gzip, DefaultConfig())
+	master.RunCycles(2000)
+	var marked RegMask
+	master.MarkRegAccess(&marked)
+
+	clone := master.Clone()
+	reset := newBenchPipeline(t, workload.Gzip, DefaultConfig())
+	var resetMarked RegMask
+	reset.MarkRegAccess(&resetMarked)
+	reset.ResetFrom(master)
+	clone.RunCycles(500)
+	reset.RunCycles(500)
+	if marked != (RegMask{}) || resetMarked != (RegMask{}) {
+		t.Fatalf("forks marked registers: clone %x, reset %x", marked, resetMarked)
+	}
+
+	master.RunCycles(500)
+	if marked == (RegMask{}) {
+		t.Fatal("the marking pipeline marked no register in 500 cycles")
+	}
+}

@@ -15,6 +15,8 @@ package pipeline
 // (NthBit), so preserving it keeps every pre-drawn pick stream — and thus
 // every published campaign result — byte-identical.
 
+import "math/bits"
+
 // Fetch-queue pred-word bit positions (target occupies [47:0], the
 // fetch-time global history [61:52]).
 const (
@@ -363,14 +365,32 @@ func (q *loadQueue) alloc() (uint64, bool) {
 	return idx, true
 }
 
+// RegMask is a set of physical registers, one bit per register.
+type RegMask [PhysRegs / 64]uint64
+
+// Has reports whether physical register tag is in the set.
+func (m *RegMask) Has(tag uint64) bool {
+	tag %= PhysRegs
+	return m[tag/64]&(1<<(tag%64)) != 0
+}
+
 // regFile is the merged physical register file (Figure 3's "Register File"
 // SRAM) plus its ready scoreboard.
 type regFile struct {
-	val   []uint64
+	// val is reached only through read, write and flipBit, so that marking
+	// sees every access the machine makes to a register's value.
+	val   []uint64 //restorelint:private
 	ready []uint64
+
+	// touched, when non-nil, collects every register read or written
+	// (Pipeline.MarkRegAccess). It is not machine state: Clone and
+	// ResetFrom leave it nil.
+	touched *RegMask
+	first   int // element index of prf.val[0] in the StateSpace
 }
 
 func (f *regFile) register(s *StateSpace) {
+	f.first = len(s.elems)
 	val := s.BindArray(&f.val, PhysRegs)
 	ready := s.BindArray(&f.ready, PhysRegs/64)
 	for i := 0; i < PhysRegs; i++ {
@@ -395,8 +415,24 @@ func (f *regFile) setReady(tag uint64, rdy bool) {
 	}
 }
 
-func (f *regFile) read(tag uint64) uint64 { return f.val[tag%PhysRegs] }
-func (f *regFile) write(tag, v uint64)    { f.val[tag%PhysRegs] = v }
+func (f *regFile) read(tag uint64) uint64 {
+	tag %= PhysRegs
+	f.touch(tag)
+	return f.val[tag]
+}
+
+func (f *regFile) write(tag, v uint64) {
+	tag %= PhysRegs
+	f.touch(tag)
+	f.val[tag] = v
+}
+
+// touch marks a register access while marking is on.
+func (f *regFile) touch(tag uint64) {
+	if f.touched != nil {
+		f.touched[tag/64] |= 1 << (tag % 64)
+	}
+}
 
 // flipBit inverts one bit of a physical register — the fault-model entry
 // point for directed corruption.
@@ -438,17 +474,15 @@ func (f *freeList) register(s *StateSpace) {
 
 func (f *freeList) reset() { clear(f.bits) }
 
+// alloc takes the lowest free register.
 func (f *freeList) alloc() (uint64, bool) {
 	for w := range f.bits {
 		if f.bits[w] == 0 {
 			continue
 		}
-		for b := 0; b < 64; b++ {
-			if f.bits[w]&(1<<b) != 0 {
-				f.bits[w] &^= 1 << b
-				return uint64(w*64 + b), true
-			}
-		}
+		b := bits.TrailingZeros64(f.bits[w])
+		f.bits[w] &^= 1 << b
+		return uint64(w*64 + b), true
 	}
 	return 0, false
 }

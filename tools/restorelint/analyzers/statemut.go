@@ -29,13 +29,22 @@ import (
 //
 // Taking a registered field's address outside those owners is flagged too:
 // a leaked pointer is an invisible write path.
+//
+// A field marked `//restorelint:private` is stricter: any use of it at all,
+// read or write, is allowed only in a method of the struct that declares it,
+// and writer directives do not extend that. The register file's value array
+// is private so that every access goes through the accessors that mark it:
+// the µarch campaign resolves a trial without simulating it when the golden
+// run never touches the flipped register, and an unmarked read would make
+// that wrong.
 var StateMut = &lint.Analyzer{
 	Name: "statemut",
-	Doc:  "flags writes to StateSpace-registered fields outside the owning struct or its declared writers",
+	Doc:  "flags writes to StateSpace-registered fields outside the owning struct or its declared writers, and any use of a private field outside its struct's methods",
 	Run:  runStateMut,
 }
 
 func runStateMut(pass *lint.Pass) {
+	checkPrivateFields(pass)
 	idx := buildStateIndex(pass.Pkg)
 	if len(idx.registered) == 0 {
 		return
@@ -186,4 +195,68 @@ func collectWriterDirectives(pkg *lint.Package) map[string]map[string]bool {
 		}
 	}
 	return out
+}
+
+// checkPrivateFields reports every use of a //restorelint:private field
+// outside the methods of the struct that declares it.
+func checkPrivateFields(pass *lint.Pass) {
+	info := pass.Pkg.Info
+	private := make(map[*types.Var]string) // field -> declaring type name
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, field := range st.Fields.List {
+					if !hasDirective(field.Doc, "restorelint:private") && !hasDirective(field.Comment, "restorelint:private") {
+						continue
+					}
+					for _, name := range field.Names {
+						if v, ok := info.Defs[name].(*types.Var); ok {
+							private[v] = ts.Name.Name
+						}
+					}
+				}
+			}
+			return false
+		})
+	}
+	if len(private) == 0 {
+		return
+	}
+	for _, f := range pass.Pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			v, ok := info.Uses[sel.Sel].(*types.Var)
+			if !ok {
+				return true
+			}
+			owner, ok := private[v]
+			if !ok || recvTypeName(pass.Pkg.EnclosingFunc(sel.Pos())) == owner {
+				return true
+			}
+			pass.Reportf(sel.Sel.Pos(),
+				"use of private field %s.%s outside %s's methods; read and write it through a %s method",
+				owner, v.Name(), owner, owner)
+			return true
+		})
+	}
+}
+
+// hasDirective reports whether a comment group holds a //name directive.
+func hasDirective(doc *ast.CommentGroup, name string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), name) {
+			return true
+		}
+	}
+	return false
 }

@@ -4,7 +4,8 @@
 //
 //	determinism    simulator output must be a pure function of its seeds
 //	opcodeswitch   switches over isa.Op are exhaustive or carry a default
-//	statemut       registered state is written only by its declared owners
+//	statemut       registered state is written only by its declared owners;
+//	               private fields are used only by their struct's methods
 //	bitwidth       shifts, masks, and sign extensions respect field widths
 //	stateregister  every uint64 state-struct field reaches the StateSpace
 //	protectpolicy  protection-domain switches are exhaustive; protection
