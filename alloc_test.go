@@ -62,9 +62,8 @@ func TestPipelineStepMarkingAllocFree(t *testing.T) {
 
 // TestPipelineResetFromAllocFree pins the clone pool's re-image path:
 // resetting a clone back to its master must not allocate once the pool is
-// in steady state (every clone shaped identically to the master). The
-// allocating branches inside ResetFrom fire only on shape mismatch, which
-// Clone never produces.
+// in steady state (every clone shaped identically to the master). Only a
+// fresh receiver's component tables grow, and Clone is where that happens.
 func TestPipelineResetFromAllocFree(t *testing.T) {
 	p := warmPipeline(t)
 	c := p.Clone()

@@ -29,7 +29,8 @@
 //	              parity/ECC placement at equal check-bit budget
 //	budget-sweep  coverage vs check-bit budget for the static optimizer
 //	demo          run the ReStore processor and print its activity report
-//	all           everything above, in order
+//	all           everything above in order, except ablate-jrs, ablate-ckpt,
+//	              vulnerability and demo
 //
 // Paper-scale campaigns take minutes; use -trials to scale them down,
 // -workers to fan trials across CPUs (results are bit-identical to serial
@@ -109,9 +110,11 @@ type cli struct {
 	budget   uint64
 	budgets  string
 
-	// campaigns are deterministic for fixed options, so `all` shares one
-	// campaign across the figures that reclassify the same trials.
+	// campaigns and Figure 7 are deterministic for fixed options, so `all`
+	// shares one campaign across the figures that reclassify the same
+	// trials, and one Figure 7 across the steps that read its inputs.
 	campaignCache map[campaignKey]*experiments.UArchExperiment
+	fig7Result    *experiments.Fig7Result
 }
 
 type campaignKey struct {
@@ -647,8 +650,20 @@ func (c *cli) coverageFooter(exp *experiments.UArchExperiment, det inject.Detect
 	}
 }
 
+// fig7Cached runs (or reuses) the Figure 7 measurement.
+func (c *cli) fig7Cached() (*experiments.Fig7Result, error) {
+	if c.fig7Result == nil {
+		res, err := experiments.Fig7(c.opts)
+		if err != nil {
+			return nil, err
+		}
+		c.fig7Result = res
+	}
+	return c.fig7Result, nil
+}
+
 func (c *cli) fig7() error {
-	res, err := experiments.Fig7(c.opts)
+	res, err := c.fig7Cached()
 	if err != nil {
 		return err
 	}
@@ -710,7 +725,7 @@ func (c *cli) compare() error {
 	if err != nil {
 		return err
 	}
-	f7, err := experiments.Fig7(c.opts)
+	f7, err := c.fig7Cached()
 	if err != nil {
 		return err
 	}
@@ -761,7 +776,7 @@ func (c *cli) ablateCheckpoints() error {
 	if err != nil {
 		return err
 	}
-	f7, err := experiments.Fig7(c.opts)
+	f7, err := c.fig7Cached()
 	if err != nil {
 		return err
 	}

@@ -133,27 +133,17 @@ func (c *Cache) touch(set []entry, mru int) {
 	}
 }
 
-// Clone returns an independent copy, including contents and statistics.
-// Campaigns fork warmed-up pipelines, so cache state must be copyable.
-func (c *Cache) Clone() *Cache {
-	n := *c
-	n.entries = append([]entry(nil), c.entries...)
-	return &n
-}
-
 // CopyFrom makes c an exact copy of src (contents and statistics), reusing
-// c's entry array when the geometries match. Campaign clone pools use this
-// to reset a trial's caches back to the master's without reallocating.
+// c's entry array when the geometries match. Campaigns fork warmed-up
+// pipelines, so cache state must be copyable: a fork is a fresh Cache (or a
+// retired one from the clone pool) re-imaged by CopyFrom.
 func (c *Cache) CopyFrom(src *Cache) {
 	c.cfg = src.cfg
 	c.sets = src.sets
 	c.accesses = src.accesses
 	c.misses = src.misses
-	if len(c.entries) != len(src.entries) {
-		//restorelint:allowalloc -- geometry mismatch only; the clone pool re-images identically-shaped caches
-		c.entries = make([]entry, len(src.entries))
-	}
-	copy(c.entries, src.entries)
+	//restorelint:allowalloc -- fresh receiver only; the clone pool re-images identically-shaped caches
+	c.entries = append(c.entries[:0], src.entries...)
 }
 
 // Reset invalidates all entries and clears statistics.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -139,5 +140,38 @@ func TestDefaultConfigsSane(t *testing.T) {
 			t.Errorf("bad default config %+v", cfg)
 		}
 		New(cfg).Access(0) // must not panic
+	}
+}
+
+// CopyFrom is the only way a cache is copied: into a fresh value (a new
+// pipeline Clone) and into a dirtied one of the same shape (a recycled
+// fork). Each copy must equal its source field for field, statistics
+// included, and accesses to the copy must leave the source unchanged.
+func TestCopyFrom(t *testing.T) {
+	cfg := Config{SetBits: 3, Ways: 2, LineBits: 6, HitLatency: 1, MissLatency: 10}
+	build := func() *Cache {
+		c := New(cfg)
+		for a := uint64(0); a < 40; a++ {
+			c.Access(a * 0x48)
+		}
+		return c
+	}
+	mutate := func(c *Cache) {
+		for a := uint64(0); a < 40; a++ {
+			c.Access(0x10000 + a*0x100)
+		}
+	}
+	dirty := build()
+	mutate(dirty)
+	for _, dst := range []*Cache{new(Cache), dirty} {
+		src := build()
+		dst.CopyFrom(src)
+		if !reflect.DeepEqual(dst, src) {
+			t.Errorf("copy differs from its source:\n got %+v\nwant %+v", *dst, *src)
+		}
+		mutate(dst)
+		if !reflect.DeepEqual(src, build()) {
+			t.Error("accesses to the copy changed the source")
+		}
 	}
 }

@@ -44,10 +44,6 @@ type Options struct {
 	// observational: experiment results are byte-identical with or
 	// without a sink.
 	Obs obs.Sink
-	// Pipeline optionally overrides the processor configuration for
-	// microarchitectural campaigns (tests use a tiny WatchdogCycles to
-	// force truncated campaigns; nil = pipeline.DefaultConfig).
-	Pipeline *pipeline.Config
 	// CampaignRoot, if non-empty, makes every injection campaign durable:
 	// each campaign journals completed trials into
 	// CampaignRoot/<CampaignID> (see internal/campaignio) and a rerun of
@@ -76,6 +72,11 @@ type Options struct {
 	// flush their journal first; the experiment then returns an error
 	// wrapping inject.ErrInterrupted.
 	Interrupt <-chan struct{}
+
+	// pipeline overrides the processor configuration of microarchitectural
+	// campaigns (nil = pipeline.DefaultConfig); in-package tests set a tiny
+	// WatchdogCycles to force truncated campaigns.
+	pipeline *pipeline.Config
 }
 
 // exec derives a campaign's execution options from the experiment options.
@@ -215,7 +216,7 @@ func runCampaign(opts Options, bench workload.Benchmark, cc CampaignConfig) (*in
 		WindowCycles:   10_000,
 		LatchesOnly:    cc.LatchesOnly,
 		Policy:         cc.Policy,
-		Pipeline:       opts.Pipeline,
+		Pipeline:       opts.pipeline,
 	}
 	cfg.Exec = opts.exec(cfg.CampaignID())
 	return inject.RunUArch(cfg)

@@ -22,7 +22,16 @@ import (
 // fraction of failing trials whose faulted element the policy covers (those
 // flips would have been corrected or flushed on a hardened pipeline).
 func MeasuredCoverage(trials []inject.UArchTrial, pol *protect.Policy) float64 {
-	failing, absorbed := 0, 0
+	failing, absorbed := failingAbsorbed(trials, pol)
+	if failing == 0 {
+		return 0
+	}
+	return float64(absorbed) / float64(failing)
+}
+
+// failingAbsorbed counts the failing trials and those of them whose faulted
+// element pol covers.
+func failingAbsorbed(trials []inject.UArchTrial, pol *protect.Policy) (failing, absorbed int) {
 	for _, t := range trials {
 		if !t.Failing() {
 			continue
@@ -32,10 +41,7 @@ func MeasuredCoverage(trials []inject.UArchTrial, pol *protect.Policy) float64 {
 			absorbed++
 		}
 	}
-	if failing == 0 {
-		return 0
-	}
-	return float64(absorbed) / float64(failing)
+	return failing, absorbed
 }
 
 // ProtectRow is one benchmark's static-vs-hand-picked comparison.
@@ -168,15 +174,9 @@ func BudgetSweep(opts Options, plain *UArchExperiment, budgets []uint64) (*Budge
 			pol := protect.Optimize(fmt.Sprintf("static-budget/%s", st.bench), st.rk, budget)
 			pt.SpentBits += st.rk.CostOf(pol)
 			predSum += pol.Predicted
-			for _, t := range st.trials {
-				if !t.Failing() {
-					continue
-				}
-				failing++
-				if pol.ProtectionOf(t.Elem) != protect.Unprotected {
-					absorbed++
-				}
-			}
+			f, a := failingAbsorbed(st.trials, pol)
+			failing += f
+			absorbed += a
 		}
 		if len(states) > 0 {
 			pt.Predicted = predSum / float64(len(states))

@@ -39,7 +39,7 @@ func TestCampaignTruncatedDuringWarmup(t *testing.T) {
 		Scale:       0.5,
 		TrialFactor: 0.02,
 		Benchmarks:  []workload.Benchmark{workload.MCF},
-		Pipeline:    &pcfg,
+		pipeline:    &pcfg,
 	}
 	exp, err := Campaign(opts, CampaignConfig{})
 	if err != nil {

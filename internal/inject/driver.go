@@ -102,8 +102,6 @@ type faultModel[T trialRecord] interface {
 	// and returns true, or hands the simulation to w.submit and returns
 	// false.
 	prepare(slot int, out *T, w *engine) bool
-	// endPoint leaves the golden run ready to advance to the next point.
-	endPoint()
 }
 
 // trialRecord is a campaign's per-slot result type.
@@ -240,14 +238,11 @@ func run[T trialRecord](spec campaignSpec, x Exec, m faultModel[T]) ([]T, error)
 			case interrupted(x.Interrupt):
 				stopped = true
 			case m.prepare(slot, &trials[slot], w):
-				retire(slot) // completed in prepare: protected, or run inline
+				retire(slot) // a µarch slot completed in prepare: protected, or resolved from the golden log
 			}
 		}
 		if stopped {
 			break
-		}
-		if !skip {
-			m.endPoint()
 		}
 		pointsRun = pi + 1
 	}

@@ -39,8 +39,9 @@ import (
 var ErrNoEligibleBits = errors.New("inject: no bits eligible for injection under the campaign's targeting constraints")
 
 // engine dispatches trial simulations. With workers <= 1 it degenerates to
-// running every task inline on the dispatching goroutine, which preserves
-// the serial engine exactly; with N > 1 it fans tasks out over N goroutines.
+// running every task inline on the dispatching goroutine, in slot order;
+// with N > 1 it fans tasks out over N goroutines. Either way a task runs on
+// its own fork of the golden machine, so the two modes share one trial path.
 // The bounded task channel doubles as backpressure: the dispatcher stalls
 // rather than piling up cloned pipelines (and pinned golden traces) faster
 // than the workers retire them. After each task, retire journals and counts

@@ -138,35 +138,64 @@ func assertCampaignAccounting(t *testing.T, reg *obs.Registry, prefix string, tr
 	}
 }
 
-// A parallel campaign additionally accounts for the clone pool and the task
-// queue. Every trial either takes a clone from the pool or is resolved from
-// the golden log, and the worker-busy timer and the queue cover exactly the
-// simulated ones.
+// A campaign additionally accounts for its fork pool and the task queue, at
+// every worker count. Every trial either takes a fork from the pool (a
+// pipeline clone, or a VM memory image) or is resolved from the golden log,
+// the worker-busy timer covers exactly the simulated ones, and the queue
+// sees those submitted to workers.
 func TestParallelCampaignPoolAccounting(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := smallUArch(workload.Gzip)
-	cfg.Workers = 4
-	cfg.Obs = reg
-	r, err := RunUArch(cfg)
-	if err != nil {
-		t.Fatal(err)
+	uarch := func(workers int, sink obs.Sink) (int, error) {
+		cfg := smallUArch(workload.Gzip)
+		cfg.Workers, cfg.Obs = workers, sink
+		r, err := RunUArch(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return len(r.Trials), nil
 	}
-	trials := int64(len(r.Trials))
-	hits := reg.Counter("campaign_uarch_clone_pool_hits_total").Value()
-	misses := reg.Counter("campaign_uarch_clone_pool_misses_total").Value()
-	resolved := reg.Counter("campaign_uarch_resolved_trials_total").Value()
-	if hits+misses+resolved != trials {
-		t.Errorf("pool hits(%d)+misses(%d)+resolved(%d) = %d, want %d trials",
-			hits, misses, resolved, hits+misses+resolved, trials)
+	vm := func(workers int, sink obs.Sink) (int, error) {
+		cfg := smallVM(workload.Gzip, false)
+		cfg.Workers, cfg.Obs = workers, sink
+		r, err := RunVM(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return len(r.Trials), nil
 	}
-	if misses == 0 {
-		t.Error("a fresh pool cannot start with zero misses")
-	}
-	simulated := trials - resolved
-	if got := reg.Timer("campaign_uarch_worker_busy").Count(); got != simulated {
-		t.Errorf("worker_busy count = %d, want %d simulated trials", got, simulated)
-	}
-	if got := reg.Hist("campaign_uarch_queue_depth").Count(); got != simulated {
-		t.Errorf("queue_depth observations = %d, want %d simulated trials", got, simulated)
+	for _, tc := range []struct {
+		prefix, pool string
+		workers      int
+		run          func(int, obs.Sink) (int, error)
+	}{
+		{"campaign_uarch", "_clone_pool", 4, uarch},
+		{"campaign_vm", "_mem_pool", 0, vm},
+		{"campaign_vm", "_mem_pool", 2, vm},
+	} {
+		reg := obs.NewRegistry()
+		n, err := tc.run(tc.workers, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trials := int64(n)
+		hits := reg.Counter(tc.prefix + tc.pool + "_hits_total").Value()
+		misses := reg.Counter(tc.prefix + tc.pool + "_misses_total").Value()
+		resolved := reg.Counter(tc.prefix + "_resolved_trials_total").Value()
+		if hits+misses+resolved != trials {
+			t.Errorf("%s workers=%d: pool hits(%d)+misses(%d)+resolved(%d) = %d, want %d trials",
+				tc.prefix, tc.workers, hits, misses, resolved, hits+misses+resolved, trials)
+		}
+		if misses == 0 {
+			t.Errorf("%s workers=%d: a fresh pool cannot start with zero misses", tc.prefix, tc.workers)
+		}
+		simulated, queued := trials-resolved, int64(0)
+		if tc.workers > 1 {
+			queued = simulated
+		}
+		if got := reg.Timer(tc.prefix + "_worker_busy").Count(); got != simulated {
+			t.Errorf("%s workers=%d: worker_busy count = %d, want %d simulated trials", tc.prefix, tc.workers, got, simulated)
+		}
+		if got := reg.Hist(tc.prefix + "_queue_depth").Count(); got != queued {
+			t.Errorf("%s workers=%d: queue_depth observations = %d, want %d", tc.prefix, tc.workers, got, queued)
+		}
 	}
 }

@@ -359,6 +359,9 @@ func (m *uarchModel) span() uint64 { return m.cfg.WindowCycles + m.cfg.WindowCyc
 // reaches the end of the current point's span, so a halt is first seen by the
 // same point as if every span were recorded on its own.
 func (m *uarchModel) record() (bool, error) {
+	// Let the previous point's view go before the next is made; any trials
+	// still in flight hold their own reference.
+	m.golden = nil
 	start := m.master.Cycles()
 	switch {
 	case m.rec == nil || m.rec.Cycles() < start:
@@ -549,10 +552,6 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 	})
 	return false
 }
-
-// endPoint lets the point's golden view go before the next is made; any
-// trials still in flight hold their own reference.
-func (m *uarchModel) endPoint() { m.golden = nil }
 
 func (t UArchTrial) outcome(window uint64) string {
 	return t.CategoryAt(window, DetectorPerfect).String()

@@ -139,35 +139,32 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 // of a register-writing instruction, replayed against the golden
 // continuation on the architectural simulator. Two golden simulators run:
 // the walker (sim) walks from point to point, and the recorder (rec) runs
-// ahead of it and logs the golden run once for the whole campaign. Serially,
-// every trial rewinds the walker and its write-journalled memory in place;
-// with Workers > 1 each trial runs on a pooled fork of the walker instead.
-// Both serve real campaigns and yield identical bytes.
+// ahead of it and logs the golden run once for the whole campaign. Every
+// trial runs on a fork of the walker: a pooled copy of its memory and a
+// simulator restored to its registers, whatever the worker count.
 type vmModel struct {
-	cfg      *VMConfig
-	entry    uint64
-	mem      *mem.Memory
-	sim      *arch.Sim
-	dcache   *isa.DecodeCache
-	parallel bool
-	points   []uint64 // injection instruction indices, ascending
-	bits     []uint8  // per slot
+	cfg    *VMConfig
+	entry  uint64
+	mem    *mem.Memory
+	sim    *arch.Sim
+	dcache *isa.DecodeCache
+	points []uint64 // injection instruction indices, ascending
+	bits   []uint8  // per slot
 
 	inj     arch.Event    // the injection instruction at the current point
-	preRegs arch.Snapshot // golden registers just after inj
-	preMark mem.Mark      // memory write-journal mark just after inj
+	preRegs arch.Snapshot // golden registers just after inj, which forks restore
 	golden  *vmGolden
 
-	// The recorder steps a journal-free fork of the walker forward only;
-	// log[k] is the golden instruction at index logBase+k. The dispatcher
-	// appends to the log while workers read earlier windows of it, so a log
-	// is never truncated or reused, only replaced by a fresh one.
+	// The recorder steps a fork of the walker forward only; log[k] is the
+	// golden instruction at index logBase+k. The dispatcher appends to the
+	// log while workers read earlier windows of it, so a log is never
+	// truncated or reused, only replaced by a fresh one.
 	rec         *arch.Sim
 	log         []goldenStep
 	logBase     uint64
 	goldenInsts *obs.Counter
 
-	// memPool recycles per-trial memory images for the parallel path.
+	// memPool recycles per-trial memory images.
 	memPool *forkPool[*mem.Memory]
 }
 
@@ -195,13 +192,11 @@ func newVMModel(cfg *VMConfig, prog *workload.Program) (*vmModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	memory.EnableJournal()
 	m := &vmModel{
 		cfg:         cfg,
 		entry:       prog.Entry,
 		mem:         memory,
 		sim:         arch.New(memory, prog.Entry),
-		parallel:    cfg.Workers > 1,
 		goldenInsts: cfg.Obs.Counter("campaign_vm_golden_insts_total"),
 		memPool:     newForkPool(cfg.Obs, "campaign_vm_mem_pool", (*mem.Memory).Clone, (*mem.Memory).CopyFrom),
 	}
@@ -283,7 +278,7 @@ func (m *vmModel) advance(i int) (bool, error) {
 // ever reaches the end of the current point's window, so a halt is first
 // seen by the same point as if every window were simulated on its own.
 func (m *vmModel) record() (bool, error) {
-	m.preRegs, m.preMark = m.sim.Snapshot(), m.mem.Snapshot()
+	m.preRegs = m.sim.Snapshot()
 	start := m.sim.InstRet
 	end := start + m.cfg.Window
 	if m.rec == nil || m.rec.InstRet < start {
@@ -333,15 +328,8 @@ func (m *vmModel) extendLog(end uint64) (bool, error) {
 func (m *vmModel) prepare(slot int, out *VMTrial, w *engine) bool {
 	bit, dest, g, noEarlyExit := m.bits[slot], m.inj.Dest, m.golden, m.cfg.noEarlyExit
 	*out = newVMTrial(m.inj.PC, bit)
-	if !m.parallel {
-		// Rewind to the injection point and corrupt the result in place.
-		m.rewind()
-		m.sim.SetReg(dest, m.sim.Reg(dest)^(1<<bit))
-		runVMTrial(m.sim, dest, g, out, noEarlyExit)
-		return true
-	}
-	// Fork an independent memory image and simulator on the dispatching
-	// goroutine while workers run behind it.
+	// Fork an independent memory image and simulator at the injection point
+	// on the dispatching goroutine, while workers (if any) run behind it.
 	fm := m.memPool.acquire(m.mem)
 	fsim := arch.New(fm, m.entry)
 	fsim.DCache = m.dcache
@@ -353,19 +341,6 @@ func (m *vmModel) prepare(slot int, out *VMTrial, w *engine) bool {
 		pool.release(fm)
 	})
 	return false
-}
-
-// endPoint rewinds once more and makes the golden run up to the injection
-// point permanent, so the walk to the next point starts with an empty write
-// journal.
-func (m *vmModel) endPoint() {
-	m.rewind()
-	m.mem.DiscardTo(m.mem.Snapshot())
-}
-
-func (m *vmModel) rewind() {
-	m.mem.RestoreTo(m.preMark)
-	m.sim.Restore(m.preRegs)
 }
 
 func (t VMTrial) outcome(window uint64) string { return t.CategoryAt(window).String() }

@@ -159,43 +159,3 @@ func TestVMTruncatedCampaign(t *testing.T) {
 		})
 	}
 }
-
-// journalProbe checks the golden walker's write journal after every endPoint.
-type journalProbe struct {
-	*vmModel
-	t     *testing.T
-	calls int
-}
-
-func (p *journalProbe) endPoint() {
-	p.vmModel.endPoint()
-	p.calls++
-	if n := p.mem.JournalLen(); n != 0 {
-		p.t.Errorf("endPoint %d: golden write journal holds %d records, want 0", p.calls, n)
-	}
-}
-
-// endPoint makes the golden run permanent up to the injection point, so the
-// walker's journal only ever holds the stores of one point's walk and trials.
-func TestVMEndPointEmptiesJournal(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		cfg := smallVM(workload.Gzip, false)
-		cfg.Workers = workers
-		cfg.applyDefaults()
-		prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := newVMModel(&cfg, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := &journalProbe{vmModel: m, t: t}
-		if _, err := run[VMTrial](cfg.spec(), cfg.Exec, p); err != nil {
-			t.Fatal(err)
-		}
-		if p.calls != cfg.Points {
-			t.Errorf("workers=%d: endPoint ran %d times, want %d", workers, p.calls, cfg.Points)
-		}
-	}
-}

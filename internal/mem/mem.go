@@ -344,22 +344,19 @@ func (m *Memory) DiscardTo(mark Mark) int {
 	return n
 }
 
-// Clone returns a deep copy of the memory image (journal state excluded).
+// Clone returns a deep copy of the memory image (journal state excluded): a
+// fresh image re-imaged by CopyFrom.
 func (m *Memory) Clone() *Memory {
 	c := New()
-	for vpn, p := range m.pages {
-		np := &page{perm: p.perm}
-		np.data = p.data
-		c.pages[vpn] = np
-	}
+	c.CopyFrom(m)
 	return c
 }
 
 // CopyFrom makes m an exact copy of src's mappings and contents while
-// reusing m's existing page allocations. Like Clone, journal state is not
-// copied: the journal is cleared and journalling disabled. Campaign clone
-// pools use this to reset a trial's dirtied image back to the master's
-// without reallocating every page.
+// reusing m's existing page allocations. Journal state is not copied: the
+// journal is cleared and journalling disabled. Campaign clone pools use this
+// to reset a trial's dirtied image back to the master's without reallocating
+// every page.
 //
 // CopyFrom is the clone pool's memory re-image path, annotated hot: in
 // steady state m and src map identical page sets, so the loop below only

@@ -136,9 +136,10 @@ func Sweep(in Inputs, intervals []uint64) (imm, delayed stats.Series) {
 	return imm, delayed
 }
 
-// MeasureSweep runs MeasureSlowdown at every interval for every benchmark
-// and averages, producing a directly simulated counterpart to the analytic
-// Figure 7 series.
+// MeasureSweep measures the slowdown MeasureSlowdown reports at every
+// interval for every benchmark and averages, producing a directly simulated
+// counterpart to the analytic Figure 7 series. The bare run does not depend
+// on the interval, so each benchmark's runs once.
 func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
 	pcfg pipeline.Config, policy restore.Policy, intervals []uint64) (stats.Series, error) {
 
@@ -151,17 +152,25 @@ func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
 		// empty series beats filling it with 0/0 = NaN points.
 		return s, nil
 	}
+	progs := make([]*workload.Program, len(benches))
+	bare := make([]uint64, len(benches))
+	for i, bench := range benches {
+		var err error
+		if progs[i], err = workload.Generate(bench, workload.Config{Seed: seed}); err != nil {
+			return stats.Series{}, fmt.Errorf("measure sweep %s: %w", bench, err)
+		}
+		if bare[i], err = bareCycles(progs[i], insts, pcfg); err != nil {
+			return stats.Series{}, fmt.Errorf("measure sweep %s: %w", bench, err)
+		}
+	}
 	for _, iv := range intervals {
 		sum := 0.0
-		for _, bench := range benches {
-			v, err := MeasureSlowdown(bench, seed, insts, pcfg, restore.Config{
-				Interval: iv,
-				Policy:   policy,
-			})
+		for i, bench := range benches {
+			cycles, err := restoreCycles(progs[i], insts, pcfg, restore.Config{Interval: iv, Policy: policy})
 			if err != nil {
 				return stats.Series{}, fmt.Errorf("measure sweep %s @%d: %w", bench, iv, err)
 			}
-			sum += v
+			sum += float64(bare[i]) / float64(cycles)
 		}
 		s.Add(float64(iv), sum/float64(len(benches)))
 	}
@@ -179,36 +188,51 @@ func MeasureSlowdown(bench workload.Benchmark, seed int64, insts uint64,
 	if err != nil {
 		return 0, err
 	}
+	base, err := bareCycles(prog, insts, pcfg)
+	if err != nil {
+		return 0, err
+	}
+	cycles, err := restoreCycles(prog, insts, pcfg, rcfg)
+	if err != nil {
+		return 0, err
+	}
+	return float64(base) / float64(cycles), nil
+}
 
-	m1, err := prog.NewMemory()
+// bareCycles returns the cycles a bare pipeline takes to retire insts
+// instructions of prog.
+func bareCycles(prog *workload.Program, insts uint64, pcfg pipeline.Config) (uint64, error) {
+	m, err := prog.NewMemory()
 	if err != nil {
 		return 0, err
 	}
-	bare, err := pipeline.New(pcfg, m1, prog.Entry)
+	bare, err := pipeline.New(pcfg, m, prog.Entry)
 	if err != nil {
 		return 0, err
 	}
-	retired := bare.RunRetired(insts, insts*40)
-	if retired < insts {
+	if retired := bare.RunRetired(insts, insts*40); retired < insts {
 		return 0, fmt.Errorf("perf: bare pipeline retired %d of %d", retired, insts)
 	}
-	baseCycles := bare.Cycles()
+	return bare.Cycles(), nil
+}
 
-	m2, err := prog.NewMemory()
+// restoreCycles returns the cycles a fault-free ReStore processor takes to
+// retire insts instructions of prog.
+func restoreCycles(prog *workload.Program, insts uint64, pcfg pipeline.Config, rcfg restore.Config) (uint64, error) {
+	m, err := prog.NewMemory()
 	if err != nil {
 		return 0, err
 	}
-	pipe, err := pipeline.New(pcfg, m2, prog.Entry)
+	pipe, err := pipeline.New(pcfg, m, prog.Entry)
 	if err != nil {
 		return 0, err
 	}
-	proc := restore.New(pipe, rcfg)
-	rep, err := proc.Run(insts, insts*400)
+	rep, err := restore.New(pipe, rcfg).Run(insts, insts*400)
 	if err != nil {
 		return 0, err
 	}
 	if rep.Retired < insts {
 		return 0, fmt.Errorf("perf: restore run retired %d of %d", rep.Retired, insts)
 	}
-	return float64(baseCycles) / float64(rep.Cycles), nil
+	return rep.Cycles, nil
 }

@@ -261,10 +261,9 @@ func (p *Pipeline) CorruptArchReg(r isa.Reg, bit uint) {
 }
 
 // MarkRegAccess makes the register file add to *m every physical register
-// it reads or writes from now on; nil turns marking off. Every access counts,
-// including the reads execute makes for sources an instruction does not have.
-// Marking changes nothing the machine computes, and Clone and ResetFrom leave
-// it off.
+// it reads or writes from now on; nil turns marking off. Every access counts;
+// execute reads only the sources an instruction has. Marking changes nothing
+// the machine computes, and Clone and ResetFrom leave it off.
 func (p *Pipeline) MarkRegAccess(m *RegMask) { p.prf.touched = m }
 
 // PhysReg returns the physical register whose value word is state element
@@ -288,33 +287,24 @@ func (p *Pipeline) CommitPC() uint64 {
 
 // Clone deep-copies the pipeline, its memory image, caches and predictors.
 // Fault-injection campaigns warm a pipeline to an injection point once and
-// fork a clone per trial. Hooks and register-access marking are not copied.
+// fork a clone per trial. The copy starts as a struct copy, so every field is
+// carried by construction; it then gets empty components and its own packed
+// state backing, and ResetFrom re-images them from p. Hooks and
+// register-access marking are not copied.
 func (p *Pipeline) Clone() *Pipeline {
-	n := &Pipeline{}
+	n := new(Pipeline)
 	*n = *p
-	n.CommitHook = nil
-	n.BranchHook = nil
-	n.MissHook = nil
-	n.obsM = nil
-	n.prf.touched = nil
-	n.mem = p.mem.Clone()
-	n.dir = p.dir.Clone()
-	n.btb = p.btb.Clone()
-	n.ras = p.ras.Clone()
-	n.conf = p.conf.Clone()
+	n.mem = mem.New()
+	n.dir, n.btb, n.ras = new(predictor.Combined), new(predictor.BTB), new(predictor.RAS)
+	if _, ok := p.conf.(*predictor.JRS); ok {
+		n.conf = new(predictor.JRS)
+	}
 	if p.memdep != nil {
-		n.memdep = p.memdep.Clone()
+		n.memdep = new(predictor.MemDep)
 	}
-	if jrs, ok := n.conf.(*predictor.JRS); ok {
-		jrs.SetHistorySource(nil)
-	}
-	n.l1i = p.l1i.Clone()
-	n.l1d = p.l1d.Clone()
-	n.l2 = p.l2.Clone()
-	n.itlb = p.itlb.Clone()
-	n.dtlb = p.dtlb.Clone()
-	n.registerState() // rebind the clone's slices onto its own packed backing
-	n.space.copyPackedFrom(&p.space)
+	n.l1i, n.l1d, n.l2, n.itlb, n.dtlb = new(cache.Cache), new(cache.Cache), new(cache.Cache), new(cache.Cache), new(cache.Cache)
+	n.registerState() // rebind the copy's slices onto its own packed backing
+	n.ResetFrom(p)
 	return n
 }
 
@@ -322,30 +312,26 @@ func (p *Pipeline) Clone() *Pipeline {
 // fresh src.Clone() would carry — while reusing p's existing allocations
 // (memory pages, cache and predictor tables, the registered state space).
 // p must have been built from the same Config as src (e.g. it is an earlier
-// Clone of the same master); the per-trial clone pool in fault-injection
-// campaigns depends on that to recycle one pipeline across thousands of
-// trials instead of allocating each from scratch. Hooks and register-access
-// marking are cleared, as in Clone.
+// Clone of the same master); ResetFrom panics otherwise. The per-trial clone
+// pool in fault-injection campaigns depends on that to recycle one pipeline
+// across thousands of trials instead of allocating each from scratch. Hooks
+// and register-access marking are cleared, as in Clone.
 //
 // ResetFrom is the clone pool's re-image path, annotated hot: once the pool
 // reaches steady state (every clone shaped like the master) it must not
-// allocate. The branches below that allocate only fire on shape mismatch,
-// which the pool never produces; each carries an allowalloc sanction.
+// allocate.
 //
 //restorelint:hotpath
 func (p *Pipeline) ResetFrom(src *Pipeline) {
-	p.cfg = src.cfg
+	if p.cfg != src.cfg {
+		panic("pipeline: ResetFrom across configurations")
+	}
 	p.space.copyPackedFrom(&src.space)
 	p.dcache = src.dcache
 	p.fq.copyFrom(&src.fq)
 	p.rob.copyFrom(&src.rob)
-	p.sched.copyFrom(&src.sched)
 	p.stq.copyFrom(&src.stq)
 	p.ldq.copyFrom(&src.ldq)
-	p.prf.copyFrom(&src.prf)
-	p.specRAT.copyFrom(&src.specRAT)
-	p.archRAT.copyFrom(&src.archRAT)
-	p.free.copyFrom(&src.free)
 	p.exec.copyFrom(&src.exec)
 	p.fetchPC = src.fetchPC
 	p.watchdog = src.watchdog
@@ -365,27 +351,11 @@ func (p *Pipeline) ResetFrom(src *Pipeline) {
 	p.dir.CopyFrom(src.dir)
 	p.btb.CopyFrom(src.btb)
 	p.ras.CopyFrom(src.ras)
-	switch sc := src.conf.(type) {
-	case *predictor.JRS:
-		if dj, ok := p.conf.(*predictor.JRS); ok {
-			dj.CopyFrom(sc) // CopyFrom detaches the history source
-		} else {
-			//restorelint:allowalloc -- estimator-kind mismatch only; the clone pool re-images identically-configured pipelines
-			nj := sc.Clone()
-			nj.(*predictor.JRS).SetHistorySource(nil)
-			p.conf = nj
-		}
-	default:
-		//restorelint:allowalloc -- estimator-kind mismatch only; the clone pool re-images identically-configured pipelines
-		p.conf = src.conf.Clone()
+	if j, ok := p.conf.(*predictor.JRS); ok {
+		j.CopyFrom(src.conf.(*predictor.JRS)) // CopyFrom detaches the history source
 	}
-	if src.memdep != nil && p.memdep != nil {
+	if p.memdep != nil {
 		p.memdep.CopyFrom(src.memdep)
-	} else if src.memdep != nil {
-		//restorelint:allowalloc -- predictor-presence mismatch only; the clone pool re-images identically-configured pipelines
-		p.memdep = src.memdep.Clone()
-	} else {
-		p.memdep = nil
 	}
 	p.l1i.CopyFrom(src.l1i)
 	p.l1d.CopyFrom(src.l1d)

@@ -84,3 +84,18 @@ func TestForksDoNotMarkRegAccess(t *testing.T) {
 		t.Fatal("the marking pipeline marked no register in 500 cycles")
 	}
 }
+
+// ResetFrom has no branch that re-shapes a component, so it re-images only a
+// pipeline built from the same Config; a mismatch is a bug and panics.
+func TestResetFromRejectsOtherConfig(t *testing.T) {
+	master := newBenchPipeline(t, workload.Gzip, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Confidence = ConfidencePerfect
+	other := newBenchPipeline(t, workload.Gzip, cfg)
+	defer func() {
+		if recover() == nil {
+			t.Error("ResetFrom across configurations did not panic")
+		}
+	}()
+	other.ResetFrom(master)
+}

@@ -146,14 +146,18 @@ func (p *Pipeline) execute(slot int) (ok, redirected bool) {
 	inst := unpackCtl(p.rob.ctl[robIdx])
 	pc := p.rob.pc[robIdx]
 
-	v1 := p.prf.read(p.sched.src1[slot])
-	v2 := p.prf.read(p.sched.src2[slot])
-	v3 := p.prf.read(p.sched.src3[slot])
-	if f&schSrc1 == 0 {
-		v1 = 0
+	// Only the sources the instruction has are read, so register-access
+	// marking sees no read of a register it does not name; an absent one
+	// is 0.
+	var v1, v2, v3 uint64
+	if f&schSrc1 != 0 {
+		v1 = p.prf.read(p.sched.src1[slot])
 	}
-	if f&schSrc2 == 0 {
-		v2 = 0
+	if f&schSrc2 != 0 {
+		v2 = p.prf.read(p.sched.src2[slot])
+	}
+	if f&schSrc3 != 0 {
+		v3 = p.prf.read(p.sched.src3[slot])
 	}
 
 	switch {

@@ -543,7 +543,9 @@ func (e *execWindow) alloc() (int, bool) {
 // contents of every structure live in the StateSpace's packed backing and
 // are re-imaged with one copy (StateSpace.copyPackedFrom); these methods
 // carry only what lives outside it — head/count pointers and the exec
-// window's scheduling metadata. Routing the copies through owner methods
+// window's scheduling metadata — so a structure held wholly in the backing
+// (scheduler, register file, alias tables, free list) has none. Routing the
+// copies through owner methods
 // keeps the statemut write discipline intact: ResetFrom rewrites every
 // registered word, and these are the owners entitled to do that.
 
@@ -555,8 +557,6 @@ func (r *reorderBuffer) copyFrom(src *reorderBuffer) {
 	r.head, r.count = src.head, src.count
 }
 
-func (sc *scheduler) copyFrom(src *scheduler) {}
-
 func (q *storeQueue) copyFrom(src *storeQueue) {
 	q.head, q.count = src.head, src.count
 }
@@ -564,12 +564,6 @@ func (q *storeQueue) copyFrom(src *storeQueue) {
 func (q *loadQueue) copyFrom(src *loadQueue) {
 	q.head, q.count = src.head, src.count
 }
-
-func (f *regFile) copyFrom(src *regFile) {}
-
-func (t *aliasTable) copyFrom(src *aliasTable) {}
-
-func (f *freeList) copyFrom(src *freeList) {}
 
 func (e *execWindow) copyFrom(src *execWindow) {
 	e.busy = src.busy

@@ -13,8 +13,6 @@ type ConfidenceEstimator interface {
 	// Update trains the estimator with whether the prediction was
 	// correct.
 	Update(pc uint64, correct bool)
-	// Clone returns an independent deep copy (see clone.go).
-	Clone() ConfidenceEstimator
 }
 
 // JRS is the Jacobsen-Rotenberg-Smith resetting-counter estimator [12]: a

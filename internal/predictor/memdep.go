@@ -38,10 +38,3 @@ func (m *MemDep) Decay() {
 		}
 	}
 }
-
-// Clone returns an independent copy.
-func (m *MemDep) Clone() *MemDep {
-	c := *m
-	c.table = append([]uint8(nil), m.table...)
-	return &c
-}

@@ -40,14 +40,15 @@ func TestMemDepAliasing(t *testing.T) {
 func TestMemDepClone(t *testing.T) {
 	m := NewMemDep(8)
 	m.TrainViolation(0x2000)
-	c := m.Clone()
+	c := new(MemDep)
+	c.CopyFrom(m)
 	if !c.ShouldWait(0x2000) {
-		t.Error("clone lost training")
+		t.Error("copy lost training")
 	}
 	c.Decay()
 	c.Decay()
 	c.Decay()
 	if m.ShouldWait(0x2000) == false {
-		t.Error("decaying the clone affected the original")
+		t.Error("decaying the copy affected the original")
 	}
 }

@@ -2,6 +2,7 @@ package predictor
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -302,70 +303,96 @@ func TestPredictHUpdateHConsistency(t *testing.T) {
 	}
 }
 
-func TestClones(t *testing.T) {
-	b := NewBimodal(8)
-	b.Update(0x100, true)
-	b.Update(0x100, true)
-	bc := b.Clone()
-	bc.Update(0x100, false)
-	bc.Update(0x100, false)
-	bc.Update(0x100, false)
-	if !b.Predict(0x100) || bc.Predict(0x100) {
-		t.Error("bimodal clone not independent")
+// checkCopyFrom pins the only way a predictor is copied: CopyFrom into a
+// fresh value (a new pipeline Clone) and into a dirtied value of the same
+// shape (a recycled fork). Each copy must equal build()'s source field for
+// field, so a field CopyFrom forgets fails here even when timing would not
+// show it, and mutating the copy must leave the source unchanged.
+func checkCopyFrom[T any](t *testing.T, build func() *T, copyFrom func(dst, src *T), mutate func(*T)) {
+	t.Helper()
+	dirty := build()
+	mutate(dirty)
+	for _, dst := range []*T{new(T), dirty} {
+		src := build()
+		copyFrom(dst, src)
+		if !reflect.DeepEqual(dst, src) {
+			t.Errorf("%T: copy differs from its source:\n got %+v\nwant %+v", dst, *dst, *src)
+		}
+		mutate(dst)
+		if !reflect.DeepEqual(src, build()) {
+			t.Errorf("%T: mutating the copy changed the source", dst)
+		}
+	}
+}
+
+func TestCopyFrom(t *testing.T) {
+	pcs := []uint64{0x100, 0x104, 0x1F0, 0x2A8}
+	train := func(update func(pc uint64, taken bool)) {
+		for i, pc := range pcs {
+			for k := 0; k < 3; k++ {
+				update(pc, i%2 == 0)
+			}
+		}
+	}
+	untrain := func(update func(pc uint64, taken bool)) {
+		for i, pc := range pcs {
+			for k := 0; k < 3; k++ {
+				update(pc, i%2 != 0)
+			}
+		}
 	}
 
-	g := NewGshare(8, 4)
-	gc := g.Clone()
-	for i := 0; i < 8; i++ {
-		gc.Update(0x200, true)
-	}
-	if g.History() == gc.History() {
-		t.Error("gshare clone shares history")
-	}
-
-	c := NewCombined(8, 4)
-	for i := 0; i < 8; i++ {
-		c.Update(0x300, true)
-	}
-	cc := c.Clone()
-	if cc.Predict(0x300) != c.Predict(0x300) {
-		t.Error("combined clone lost state")
-	}
-
-	btb := NewBTB(4, 2)
-	btb.Update(0x400, 0x500)
-	btbc := btb.Clone()
-	btbc.Update(0x400, 0x600)
-	if tgt, _ := btb.Lookup(0x400); tgt != 0x500 {
-		t.Error("btb clone not independent")
-	}
-
-	r := NewRAS(4)
-	r.Push(1)
-	rc := r.Clone()
-	rc.Push(2)
-	if r.Depth() != 1 || rc.Depth() != 2 {
-		t.Error("ras clone not independent")
-	}
-
-	j := NewJRS(JRSConfig{TableBits: 6}, nil)
-	for i := 0; i < 15; i++ {
-		j.Update(0x700, true)
-	}
-	jcAny := j.Clone()
-	jc, ok := jcAny.(*JRS)
-	if !ok {
-		t.Fatal("JRS clone has wrong type")
-	}
-	jc.SetHistorySource(NewGshare(4, 2))
-	jc.Update(0x700, false)
-	if !j.Confident(0x700) {
-		t.Error("jrs clone not independent")
-	}
-	if _, ok := (Perfect{}).Clone().(Perfect); !ok {
-		t.Error("perfect clone wrong type")
-	}
-	if _, ok := (Never{}).Clone().(Never); !ok {
-		t.Error("never clone wrong type")
-	}
+	checkCopyFrom(t,
+		func() *Bimodal { b := NewBimodal(8); train(b.Update); return b },
+		(*Bimodal).CopyFrom, func(b *Bimodal) { untrain(b.Update) })
+	checkCopyFrom(t,
+		func() *Gshare { g := NewGshare(8, 4); train(g.Update); return g },
+		(*Gshare).CopyFrom, func(g *Gshare) { untrain(g.Update) })
+	checkCopyFrom(t,
+		func() *Combined { c := NewCombined(8, 4); train(c.Update); return c },
+		(*Combined).CopyFrom, func(c *Combined) { untrain(c.Update) })
+	checkCopyFrom(t,
+		func() *BTB {
+			b := NewBTB(4, 2)
+			for _, pc := range pcs {
+				b.Update(pc, pc+0x40)
+			}
+			return b
+		},
+		(*BTB).CopyFrom, func(b *BTB) {
+			for _, pc := range pcs {
+				b.Update(pc, pc+0x80)
+			}
+		})
+	checkCopyFrom(t,
+		func() *RAS { r := NewRAS(4); r.Push(1); r.Push(2); return r },
+		(*RAS).CopyFrom, func(r *RAS) { r.Pop(); r.Push(7); r.Push(8) })
+	// A copy never tracks another pipeline's history: CopyFrom clears the
+	// history source, so the source is trained with one and then detached,
+	// and the dirtied copy carries one that CopyFrom must drop.
+	checkCopyFrom(t,
+		func() *JRS {
+			j := NewJRS(JRSConfig{TableBits: 6}, NewGshare(4, 2))
+			train(func(pc uint64, taken bool) { j.Update(pc, taken) })
+			j.hist = nil
+			return j
+		},
+		(*JRS).CopyFrom, func(j *JRS) {
+			j.hist = NewGshare(4, 2)
+			for _, pc := range pcs {
+				j.Update(pc, false)
+			}
+		})
+	checkCopyFrom(t,
+		func() *MemDep {
+			m := NewMemDep(8)
+			for _, pc := range pcs[:2] {
+				m.TrainViolation(pc)
+			}
+			return m
+		},
+		(*MemDep).CopyFrom, func(m *MemDep) {
+			m.Decay()
+			m.TrainViolation(pcs[3])
+		})
 }

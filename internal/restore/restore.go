@@ -274,10 +274,6 @@ func (p *Processor) Report() Report {
 	return r
 }
 
-// Replaying reports whether the processor is currently re-executing a
-// rolled-back region.
-func (p *Processor) Replaying() bool { return p.replaying }
-
 // ErrorLog returns the detected-error records accumulated so far (a copy).
 func (p *Processor) ErrorLog() []ErrorRecord {
 	return append([]ErrorRecord(nil), p.errorLog...)
