@@ -168,13 +168,17 @@ func run(args []string) error {
 		return inspectImage(fs.Arg(2))
 	}
 	if fs.Arg(0) == "merge" {
+		// Parsing stopped at the word merge; -out may also follow it.
+		if err := fs.Parse(fs.Args()[1:]); err != nil {
+			return err
+		}
 		if *out == "" {
 			return fmt.Errorf("merge requires -out <merged-dir>")
 		}
-		if fs.NArg() < 2 {
+		if fs.NArg() < 1 {
 			return fmt.Errorf("usage: restore-sim merge -out <merged-dir> <shard-dir>...")
 		}
-		return mergeRoots(*out, fs.Args()[1:])
+		return mergeRoots(*out, fs.Args())
 	}
 	switch fs.Arg(0) {
 	case "serve":

@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -157,14 +159,16 @@ func TestRunDurableResumeMatchesOneShot(t *testing.T) {
 
 // TestRunShardMergeRerun splits fig2 across two shard processes, merges their
 // directories, and reruns from the merged directory: the rerun must print
-// exactly what a one-shot run prints, without re-running any trial.
+// exactly what a one-shot run prints, without re-running any trial. -out
+// works before and after the merge word, and both merges write the same
+// bytes.
 func TestRunShardMergeRerun(t *testing.T) {
 	oneShot, err := captureStdout(t, func() error { return run(tinyArgs("fig2")) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s1, s2, merged := t.TempDir(), t.TempDir(), t.TempDir()
+	s1, s2, merged, merged2 := t.TempDir(), t.TempDir(), t.TempDir(), t.TempDir()
 	for i, dir := range []string{s1, s2} {
 		shard := []string{"-out", dir, "-shard", []string{"1/2", "2/2"}[i]}
 		out, err := captureStdout(t, func() error { return run(append(shard, tinyArgs("fig2")...)) })
@@ -180,6 +184,14 @@ func TestRunShardMergeRerun(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("merge: %v", err)
 	}
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"merge", "-out", merged2, s1, s2})
+	}); err != nil {
+		t.Fatalf("merge -out after the merge word: %v", err)
+	}
+	if a, b := readTree(t, merged), readTree(t, merged2); !reflect.DeepEqual(a, b) {
+		t.Errorf("the two merge spellings wrote different trees: %d and %d files", len(a), len(b))
+	}
 
 	rerun, err := captureStdout(t, func() error {
 		return run(append([]string{"-out", merged}, tinyArgs("fig2")...))
@@ -190,6 +202,27 @@ func TestRunShardMergeRerun(t *testing.T) {
 	if rerun != oneShot {
 		t.Errorf("merged rerun differs from one-shot:\n--- one-shot ---\n%s--- rerun ---\n%s", oneShot, rerun)
 	}
+}
+
+// readTree returns every regular file under root, keyed by its path relative
+// to root.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err == nil {
+			files[rel], err = os.ReadFile(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 func TestRunDurableFlagErrors(t *testing.T) {

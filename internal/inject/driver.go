@@ -4,7 +4,7 @@
 // a golden continuation at each, run N faulty trials against it — and differ
 // only in the fault model. run owns everything else: sharding validation,
 // the durable journal and slot recovery, slot ownership and progress, the
-// point loop with its interrupt, skip, truncation and drain rules, and the
+// point loop with its interrupt, proof, truncation and drain rules, and the
 // shared telemetry. A faultModel (uarch.go, vm.go) supplies only what differs
 // between the campaigns, the warm-up included.
 package inject
@@ -12,7 +12,6 @@ package inject
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/campaignio"
@@ -70,8 +69,9 @@ type Exec struct {
 	// campaign warms up and saves the image for the next run, so N shards
 	// and every campaign that shares the warm-up pay for it once. The image
 	// records the inputs that produced it; loading a mismatched image is an
-	// error. VM campaigns ignore it: their warm-up costs less than an image
-	// load.
+	// error. A run whose journal leaves nothing to simulate neither loads
+	// nor saves an image. VM campaigns ignore it: their warm-up costs less
+	// than an image load.
 	GoldenImageDir string
 
 	// Interrupt, if non-nil, stops the campaign cleanly when it becomes
@@ -87,7 +87,8 @@ type Exec struct {
 
 // faultModel is what one injection campaign adds to the driver.
 type faultModel[T trialRecord] interface {
-	// warmUp brings the golden run to the warm-up boundary.
+	// warmUp brings the golden run to the warm-up boundary. It runs only
+	// when some point needs the golden run.
 	warmUp() error
 	// plan draws the injection points and every per-slot pick in the
 	// campaign's fixed RNG order, and returns the number of points.
@@ -203,30 +204,52 @@ func run[T trialRecord](spec campaignSpec, x Exec, m faultModel[T]) ([]T, error)
 		tick()
 	}
 
-	if err := m.warmUp(); err != nil {
-		jr.finish(nil, "")
-		return nil, err
+	// A point needs the golden run where this run owes a trial, or where it
+	// has slots and none was recovered: only a recovered slot proves that the
+	// golden run got through the point (see journal.go), ownership alone never
+	// does. The golden run goes no further than the last point that needs it;
+	// the points past that one are proven, so none of them truncates and
+	// their owned slots tick as recovered.
+	need := make([]bool, points)
+	last := -1
+	for pi := range need {
+		lo, hi := first(pi), first(pi+1)
+		recovered, owed := false, false
+		for slot := lo; slot < hi; slot++ {
+			recovered = recovered || done[slot]
+			owed = owed || !done[slot] && man.Owns(slot)
+		}
+		need[pi] = owed || lo < hi && !recovered
+		if need[pi] {
+			last = pi
+		}
+	}
+	if last >= 0 {
+		if err := m.warmUp(); err != nil {
+			jr.finish(nil, "")
+			return nil, err
+		}
 	}
 
 	w := newEngine(x.Workers, x.Obs, prefix, retire)
 	pointsRun, stopped := 0, false
 	for pi := 0; pi < points; pi++ {
 		lo, hi := first(pi), first(pi+1)
-		ok, err := m.advance(pi)
-		// A point whose every slot was recovered needs no golden trace and no
-		// trials; the golden run walks on to the next point. Ownership alone
-		// is not enough to skip (see journal.go).
-		skip := !slices.Contains(done[lo:hi], false)
-		if ok && err == nil && !skip {
-			ok, err = m.record()
-		}
-		if err != nil {
-			w.wait()
-			jr.finish(x.Obs, prefix)
-			return nil, err
-		}
-		if !ok {
-			break // the program ends before or inside this point: truncate
+		// Every point up to the last needed one is walked to, recorded or
+		// not: the VM walker finds each injection from the previous point.
+		if pi <= last {
+			ok, err := m.advance(pi)
+			if ok && err == nil && need[pi] {
+				ok, err = m.record()
+			}
+			if err != nil {
+				w.wait()
+				jr.finish(x.Obs, prefix)
+				return nil, err
+			}
+			if !ok {
+				break // the program ends before or inside this point: truncate
+			}
 		}
 		// The interrupt is checked before every trial that would run, so
 		// points that are recovered or another shard's never stop a run.

@@ -11,12 +11,18 @@
 // k/n each own the slots s with s%n == k-1 and their merged journals
 // reconstruct the same result.
 //
-// Truncation discipline: a workload that halts early truncates a campaign at
-// a point boundary, deterministically. Golden-trace recording at a point is
-// skipped only when EVERY slot of that point is journal-loaded — a shard that
-// merely owns no remaining work there still records (and so still detects
-// truncation at) the point, which keeps the set of journalled points
-// identical across shards and makes the merge's gap-free-prefix check sound.
+// The proof rule: a workload that halts early truncates a campaign at a point
+// boundary, deterministically, and no run of the same plan journals a slot at
+// or past the cut. So a recovered slot proves that the golden run reached its
+// point and recorded the point's span. A point needs the golden run only where
+// this run owes a trial (an owned slot not recovered) or where no slot of the
+// point was recovered; the golden run walks to the last such point, recording
+// only those, and every point past it is proven. A complete shard or merged
+// journal therefore resumes without a warm-up. Ownership alone proves nothing:
+// a shard that owns no work at a point with no journalled slot still records
+// (and so still detects truncation at) the point, which keeps the set of
+// journalled points identical across shards and makes the merge's
+// gap-free-prefix check sound.
 package inject
 
 import (

@@ -9,7 +9,9 @@
 #      campaign finishes before the signal lands, the resume degrades to a
 #      full journal recovery — the diff still must hold);
 #   3. two shards merged with `restore-sim merge` and rerun from the merged
-#      directory print byte-identical output to a one-shot run;
+#      directory print byte-identical output to a one-shot run; rerunning a
+#      complete shard leaves its directory byte-identical and simulates no
+#      golden cycle;
 #   4. golden-image shards, one killed by SIGTERM and resumed, merge to the
 #      same byte-identical output — the full warm-start durability stack in
 #      one scenario;
@@ -58,6 +60,15 @@ $sim $args -out "$workdir/s2" -shard 2/2 fig4 >/dev/null
 $sim -out "$workdir/merged" merge "$workdir/s1" "$workdir/s2"
 $sim $args -out "$workdir/merged" fig4 >"$workdir/merged.txt"
 diff "$workdir/golden.txt" "$workdir/merged.txt"
+cp -r "$workdir/s1" "$workdir/s1-copy"
+$sim $args -out "$workdir/s1" -shard 1/2 -metrics "$workdir/s1-rerun.json" fig4 >/dev/null
+diff -r "$workdir/s1-copy" "$workdir/s1"
+cycles=$(grep -A 2 '"name": "campaign_uarch_golden_cycles_total"' "$workdir/s1-rerun.json" |
+	sed -n 's/.*"value": \([0-9.e+-]*\).*/\1/p')
+[ "$cycles" = 0 ] || {
+	echo "rerunning a complete shard simulated ${cycles:-an unreported number of} golden cycles, want 0" >&2
+	exit 1
+}
 
 echo "== golden-image shards, one killed, merged"
 # Shard 1 writes the golden image; shard 2 restores it. Shard 2 is killed
