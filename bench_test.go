@@ -404,7 +404,7 @@ func BenchmarkGoldenImageRoundTrip(b *testing.B) {
 // against the bare pipeline — the simulated counterpart of Figure 7.
 func BenchmarkRestoreOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		speedup, err := perf.MeasureSlowdown(workload.Gzip, 42, 20_000,
+		speedup, err := perf.MeasureSlowdown(workload.Gzip, workload.Config{Seed: 42}, 20_000,
 			pipeline.DefaultConfig(), restore.Config{Interval: 100})
 		if err != nil {
 			b.Fatal(err)

@@ -784,7 +784,7 @@ func (c *cli) ablateCheckpoints() error {
 	if err != nil {
 		return err
 	}
-	res := experiments.AblateCheckpoints(exp, f7.Mean, c.interval, nil)
+	res := experiments.AblateCheckpoints(exp, f7.Mean, c.interval)
 	fmt.Print(res.Render())
 	fmt.Println("(each extra live checkpoint extends the guaranteed rollback reach by one")
 	fmt.Println(" interval but lengthens the mean re-execution after every rollback)")
@@ -820,7 +820,7 @@ func (c *cli) analyze() error {
 		if err != nil {
 			return err
 		}
-		rep, err := staticvuln.Analyze(prog, staticvuln.Options{})
+		rep, err := staticvuln.Analyze(prog)
 		if err != nil {
 			return fmt.Errorf("analyze %s: %w", bench, err)
 		}
@@ -845,7 +845,8 @@ func (c *cli) demo() error {
 	if len(c.opts.Benchmarks) > 0 {
 		bench = c.opts.Benchmarks[0]
 	}
-	rep, err := experiments.MeasureRestoreRun(bench, c.opts.Seed, 200_000, restore.Config{
+	wcfg := workload.Config{Seed: c.opts.Seed, Scale: c.opts.Scale}
+	rep, err := experiments.MeasureRestoreRun(bench, wcfg, 200_000, restore.Config{
 		Interval: c.interval,
 		Obs:      c.opts.Obs,
 	})

@@ -85,12 +85,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "injected: bit %d of %s flipped\n", bit, reg)
 	}
 
-	tw := trace.NewWriter(stdout, trace.Options{
-		MaxInstructions: *n,
-		ShowStores:      true,
-		ShowBranches:    true,
-		ShowRegs:        true,
-	})
+	tw := trace.NewWriter(stdout, *n)
 	if !*quiet {
 		pipe.CommitHook = tw.Commit
 		fmt.Fprintf(stdout, "%10s  %-12s  %-24s\n", "index", "pc", "instruction")

@@ -38,7 +38,7 @@ func main() {
 	// program shape from the seed and scale.
 	prog := workload.MustGenerate(bench, workload.Config{Seed: seed, Scale: scale})
 
-	rep, err := staticvuln.Analyze(prog, staticvuln.Options{})
+	rep, err := staticvuln.Analyze(prog)
 	if err != nil {
 		log.Fatal(err)
 	}

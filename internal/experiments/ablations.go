@@ -74,7 +74,7 @@ func AblateJRS(opts Options, thresholds []uint8, interval uint64) (*JRSAblationR
 			}
 			trials = append(trials, r.Trials...)
 
-			in, err := perf.MeasureInputs(bench, opts.Seed, 100_000, pcfg)
+			in, err := perf.MeasureInputs(bench, opts.workload(), 100_000, pcfg)
 			if err != nil {
 				return nil, err
 			}
@@ -127,24 +127,18 @@ type CheckpointAblationResult struct {
 	Rows     []CheckpointAblationRow
 }
 
-// AblateCheckpoints reuses one campaign and asks, for k live checkpoints at
-// a fixed interval L: symptoms up to (k-1)·L instructions after the fault
+// AblateCheckpoints reuses one campaign and asks, for k = 1, 2, 3, 4 and 8
+// live checkpoints at a fixed interval L: symptoms up to (k-1)·L instructions after the fault
 // can still roll back to a pre-fault checkpoint, but the mean re-execution
 // distance grows to (k-0.5)·L. More checkpoints buy detection-latency
 // slack with re-execution time (and checkpoint storage).
-func AblateCheckpoints(exp *UArchExperiment, mean perf.Inputs, interval uint64, depths []int) *CheckpointAblationResult {
+func AblateCheckpoints(exp *UArchExperiment, mean perf.Inputs, interval uint64) *CheckpointAblationResult {
 	if interval == 0 {
 		interval = 100
 	}
-	if len(depths) == 0 {
-		depths = []int{1, 2, 3, 4, 8}
-	}
 	res := &CheckpointAblationResult{Interval: interval}
 	raw := exp.RawFailureRate()
-	for _, k := range depths {
-		if k < 1 {
-			continue
-		}
+	for _, k := range []int{1, 2, 3, 4, 8} {
 		reach := uint64(k-1) * interval
 		if k == 1 {
 			// A single checkpoint can only help symptoms inside the

@@ -106,6 +106,12 @@ func (o *Options) applyDefaults() {
 	}
 }
 
+// workload is the generator configuration every experiment derives its
+// programs from.
+func (o *Options) workload() workload.Config {
+	return workload.Config{Seed: o.Seed, Scale: o.Scale}
+}
+
 func scaleCount(base int, factor float64, min int) int {
 	n := int(float64(base) * factor)
 	if n < min {
@@ -266,7 +272,7 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	var all []perf.Inputs
 	insts := uint64(scaleCount(200_000, opts.TrialFactor, 30_000))
 	for _, bench := range opts.Benchmarks {
-		in, err := perf.MeasureInputs(bench, opts.Seed, insts, pipeline.DefaultConfig())
+		in, err := perf.MeasureInputs(bench, opts.workload(), insts, pipeline.DefaultConfig())
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s: %w", bench, err)
 		}
@@ -279,8 +285,8 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	// Direct simulation of the immediate policy on a reduced window,
 	// cross-checking the model.
 	simInsts := uint64(scaleCount(30_000, opts.TrialFactor, 10_000))
-	sim, err := perf.MeasureSweep(opts.Benchmarks, opts.Seed, simInsts,
-		pipeline.DefaultConfig(), restore.PolicyImmediate, Fig7Intervals)
+	sim, err := perf.MeasureSweep(opts.Benchmarks, opts.workload(), simInsts,
+		pipeline.DefaultConfig(), Fig7Intervals)
 	if err != nil {
 		return nil, err
 	}
@@ -302,17 +308,16 @@ type Fig8Result struct {
 }
 
 // Fig8 builds the reliability-scaling model from measured campaign failure
-// fractions (or the paper's, if given a nil measurement) and sweeps design
-// size.
+// fractions and sweeps design size.
 func Fig8(plain, hardened *UArchExperiment, interval uint64) *Fig8Result {
-	model := fit.PaperModel()
-	if plain != nil && hardened != nil {
-		model.FailFrac = map[fit.Variant]float64{
+	model := fit.Model{
+		RawPerBit: fit.RawFITPerBit,
+		FailFrac: map[fit.Variant]float64{
 			fit.Baseline:   plain.RawFailureRate(),
 			fit.ReStore:    plain.FailureRateAt(interval, inject.DetectorJRS),
 			fit.LHF:        hardened.RawFailureRate(),
 			fit.LHFReStore: hardened.FailureRateAt(interval, inject.DetectorJRS),
-		}
+		},
 	}
 	sizes := fit.DefaultSizes()
 	series := model.Sweep(sizes)
@@ -362,8 +367,8 @@ func Summarize(plain, hardened *UArchExperiment, interval uint64) Summary {
 
 // MeasureRestoreRun exercises the full ReStore processor on a benchmark (a
 // top-level integration helper used by examples and the CLI's demo mode).
-func MeasureRestoreRun(bench workload.Benchmark, seed int64, insts uint64, cfg restore.Config) (restore.Report, error) {
-	prog, err := workload.Generate(bench, workload.Config{Seed: seed})
+func MeasureRestoreRun(bench workload.Benchmark, wcfg workload.Config, insts uint64, cfg restore.Config) (restore.Report, error) {
+	prog, err := workload.Generate(bench, wcfg)
 	if err != nil {
 		return restore.Report{}, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -120,14 +119,6 @@ func TestHardenedCampaignAndSummary(t *testing.T) {
 	}
 }
 
-func TestFig8PaperFallback(t *testing.T) {
-	res := Fig8(nil, nil, 100)
-	if math.Abs(res.Improvements[fit.ReStore]-2.0) > 1e-9 ||
-		math.Abs(res.Improvements[fit.LHFReStore]-7.0) > 1e-9 {
-		t.Errorf("paper fallback wrong: %+v", res.Improvements)
-	}
-}
-
 func TestFig7EndToEnd(t *testing.T) {
 	opts := tinyOpts()
 	res, err := Fig7(opts)
@@ -147,8 +138,28 @@ func TestFig7EndToEnd(t *testing.T) {
 	}
 }
 
+// TestFig7FollowsScale pins that Figure 7 measures the programs the
+// campaigns inject into: its timing-model inputs on mcf differ between
+// Scale 0.25 and 1.0, so `all -scale` never mixes coverage at one scale with
+// cost at another.
+func TestFig7FollowsScale(t *testing.T) {
+	inputs := func(scale float64) perf.Inputs {
+		t.Helper()
+		res, err := Fig7(Options{Seed: 42, Scale: scale, TrialFactor: 0.05,
+			Benchmarks: []workload.Benchmark{workload.MCF}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PerBench[workload.MCF]
+	}
+	small, full := inputs(0.25), inputs(1.0)
+	if small == full {
+		t.Errorf("Fig 7 inputs at Scale 0.25 equal those at 1.0: %+v", full)
+	}
+}
+
 func TestMeasureRestoreRun(t *testing.T) {
-	rep, err := MeasureRestoreRun(workload.Gzip, 42, 10_000, restore.Config{Interval: 100})
+	rep, err := MeasureRestoreRun(workload.Gzip, workload.Config{Seed: 42}, 10_000, restore.Config{Interval: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +218,9 @@ func TestAblateCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	mean := perf.Inputs{BaseCPI: 0.8, ReplayCPI: 0.7, SymptomRate: 1e-3, FlushPenalty: 20}
-	res := AblateCheckpoints(exp, mean, 100, []int{1, 2, 4, 8})
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	res := AblateCheckpoints(exp, mean, 100)
+	if len(res.Rows) != 5 {
+		t.Fatalf("rows = %d, want the 5 depths 1, 2, 3, 4, 8", len(res.Rows))
 	}
 	// Coverage must be non-decreasing in depth; speedup non-increasing.
 	for i := 1; i < len(res.Rows); i++ {

@@ -21,8 +21,8 @@ import (
 
 // Exec says how a campaign runs, as opposed to what it computes. No field
 // changes a single trial result, so none enters the plan fingerprint: a
-// campaign journalled serially resumes under any worker count, shard layout,
-// golden image or journal framing.
+// campaign journalled serially resumes under any worker count, shard layout
+// or golden-image directory.
 type Exec struct {
 	// Workers is the number of goroutines trials fan out across; 0 (or 1)
 	// runs the campaign serially on the calling goroutine. Results are

@@ -89,18 +89,9 @@ func (c VMConfig) planString() string {
 // shards must agree on it before they merge and a run resumes a directory
 // only if it derives the same aggregate.
 type uarchAux struct {
-	TotalBits   uint64          `json:"total_bits"`
-	LatchBits   uint64          `json:"latch_bits"`
-	HardenStats hardenStatsJSON `json:"harden_stats"`
-}
-
-// hardenStatsJSON mirrors protect.Stats with stable JSON names (the two
-// convert into each other directly).
-type hardenStatsJSON struct {
-	TotalBits    uint64 `json:"total_bits"`
-	ECCBits      uint64 `json:"ecc_bits"`
-	ParityBits   uint64 `json:"parity_bits"`
-	OverheadBits uint64 `json:"overhead_bits"`
+	TotalBits   uint64        `json:"total_bits"`
+	LatchBits   uint64        `json:"latch_bits"`
+	HardenStats protect.Stats `json:"harden_stats"`
 }
 
 // validateSharding checks the durability fields shared by both campaign

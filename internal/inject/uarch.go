@@ -218,7 +218,7 @@ func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	spec.aux, err = json.Marshal(uarchAux{
 		TotalBits:   res.TotalBits,
 		LatchBits:   res.LatchBits,
-		HardenStats: hardenStatsJSON(res.HardenStats),
+		HardenStats: res.HardenStats,
 	})
 	if err != nil {
 		return nil, err

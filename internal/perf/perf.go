@@ -37,10 +37,10 @@ type Inputs struct {
 	FlushPenalty float64
 }
 
-// MeasureInputs runs the detailed pipeline on a benchmark and derives the
-// model inputs.
-func MeasureInputs(bench workload.Benchmark, seed int64, insts uint64, pcfg pipeline.Config) (Inputs, error) {
-	prog, err := workload.Generate(bench, workload.Config{Seed: seed})
+// MeasureInputs runs the detailed pipeline on a benchmark generated under
+// wcfg and derives the model inputs.
+func MeasureInputs(bench workload.Benchmark, wcfg workload.Config, insts uint64, pcfg pipeline.Config) (Inputs, error) {
+	prog, err := workload.Generate(bench, wcfg)
 	if err != nil {
 		return Inputs{}, err
 	}
@@ -136,17 +136,15 @@ func Sweep(in Inputs, intervals []uint64) (imm, delayed stats.Series) {
 	return imm, delayed
 }
 
-// MeasureSweep measures the slowdown MeasureSlowdown reports at every
-// interval for every benchmark and averages, producing a directly simulated
-// counterpart to the analytic Figure 7 series. The bare run does not depend
-// on the interval, so each benchmark's runs once.
-func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
-	pcfg pipeline.Config, policy restore.Policy, intervals []uint64) (stats.Series, error) {
+// MeasureSweep measures the slowdown MeasureSlowdown reports under the
+// immediate policy at every interval for every benchmark and averages,
+// producing a directly simulated counterpart to the analytic Figure 7
+// series. The bare run does not depend on the interval, so each benchmark's
+// runs once.
+func MeasureSweep(benches []workload.Benchmark, wcfg workload.Config, insts uint64,
+	pcfg pipeline.Config, intervals []uint64) (stats.Series, error) {
 
 	s := stats.Series{Name: "simulated"}
-	if policy == restore.PolicyDelayed {
-		s.Name = "simulated-delayed"
-	}
 	if len(benches) == 0 {
 		// A sweep over no benchmarks has no mean to report; returning the
 		// empty series beats filling it with 0/0 = NaN points.
@@ -156,7 +154,7 @@ func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
 	bare := make([]uint64, len(benches))
 	for i, bench := range benches {
 		var err error
-		if progs[i], err = workload.Generate(bench, workload.Config{Seed: seed}); err != nil {
+		if progs[i], err = workload.Generate(bench, wcfg); err != nil {
 			return stats.Series{}, fmt.Errorf("measure sweep %s: %w", bench, err)
 		}
 		if bare[i], err = bareCycles(progs[i], insts, pcfg); err != nil {
@@ -166,7 +164,7 @@ func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
 	for _, iv := range intervals {
 		sum := 0.0
 		for i, bench := range benches {
-			cycles, err := restoreCycles(progs[i], insts, pcfg, restore.Config{Interval: iv, Policy: policy})
+			cycles, err := restoreCycles(progs[i], insts, pcfg, restore.Config{Interval: iv, Policy: restore.PolicyImmediate})
 			if err != nil {
 				return stats.Series{}, fmt.Errorf("measure sweep %s @%d: %w", bench, iv, err)
 			}
@@ -181,10 +179,10 @@ func MeasureSweep(benches []workload.Benchmark, seed int64, insts uint64,
 // runs the same workload once on a bare pipeline and once under a ReStore
 // processor (fault-free, so every rollback is a false positive) and returns
 // the measured relative performance.
-func MeasureSlowdown(bench workload.Benchmark, seed int64, insts uint64,
+func MeasureSlowdown(bench workload.Benchmark, wcfg workload.Config, insts uint64,
 	pcfg pipeline.Config, rcfg restore.Config) (float64, error) {
 
-	prog, err := workload.Generate(bench, workload.Config{Seed: seed})
+	prog, err := workload.Generate(bench, wcfg)
 	if err != nil {
 		return 0, err
 	}

@@ -102,7 +102,7 @@ func TestSweepSeries(t *testing.T) {
 }
 
 func TestMeasureInputs(t *testing.T) {
-	in, err := MeasureInputs(workload.GCC, 42, 40_000, pipeline.DefaultConfig())
+	in, err := MeasureInputs(workload.GCC, workload.Config{Seed: 42}, 40_000, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestModelAgreesWithSimulation(t *testing.T) {
 	}
 	const insts = 30_000
 	pcfg := pipeline.DefaultConfig()
-	in, err := MeasureInputs(workload.GCC, 42, insts, pcfg)
+	in, err := MeasureInputs(workload.GCC, workload.Config{Seed: 42}, insts, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := Speedup(in, 100, restore.PolicyImmediate)
 
-	measured, err := MeasureSlowdown(workload.GCC, 42, insts, pcfg,
+	measured, err := MeasureSlowdown(workload.GCC, workload.Config{Seed: 42}, insts, pcfg,
 		restore.Config{Interval: 100, Policy: restore.PolicyImmediate})
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,6 @@ const (
 	// with campaign-side filtering it bounds achievable coverage
 	// (Section 5.2.1 ablation).
 	ConfidencePerfect
-	// ConfidenceNever disables misprediction symptoms entirely.
-	ConfidenceNever
 )
 
 // Config parameterises a pipeline instance.
@@ -124,7 +122,7 @@ func (c *Config) validate() error {
 		return fmt.Errorf("pipeline: invalid memory-dependence predictor config %+v", c)
 	}
 	switch c.Confidence {
-	case ConfidenceJRS, ConfidencePerfect, ConfidenceNever:
+	case ConfidenceJRS, ConfidencePerfect:
 	default:
 		return fmt.Errorf("pipeline: unknown confidence kind %d", c.Confidence)
 	}

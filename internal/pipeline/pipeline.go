@@ -98,7 +98,7 @@ func New(cfg Config, m *mem.Memory, entry uint64) (*Pipeline, error) {
 	p := &Pipeline{
 		cfg:    cfg,
 		mem:    m,
-		dir:    predictor.NewCombined(cfg.PredictorBits, cfg.HistoryBits),
+		dir:    predictor.NewCombined(cfg.PredictorBits),
 		btb:    predictor.NewBTB(cfg.BTBSetBits, cfg.BTBWays),
 		ras:    predictor.NewRAS(cfg.RASDepth),
 		memdep: newMemDep(cfg),
@@ -111,11 +111,9 @@ func New(cfg Config, m *mem.Memory, entry uint64) (*Pipeline, error) {
 	}
 	switch cfg.Confidence {
 	case ConfidenceJRS:
-		p.conf = predictor.NewJRS(cfg.JRS, nil)
+		p.conf = predictor.NewJRS(cfg.JRS)
 	case ConfidencePerfect:
 		p.conf = predictor.Perfect{}
-	case ConfidenceNever:
-		p.conf = predictor.Never{}
 	}
 	p.registerState()
 	p.initArchState([32]uint64{}, entry)

@@ -16,18 +16,18 @@ type ConfidenceEstimator interface {
 }
 
 // JRS is the Jacobsen-Rotenberg-Smith resetting-counter estimator [12]: a
-// table of saturating "miss distance counters" indexed by PC XOR global
-// history. A correct prediction increments the counter; a misprediction
-// resets it to zero. A prediction is high confidence when the counter has
-// saturated past the threshold, i.e. the branch has been predicted correctly
-// many consecutive times. The paper selects JRS with a conservative
+// table of saturating "miss distance counters". The original design indexes
+// it by PC XOR global history; this one is indexed by PC alone (a deviation
+// recorded in DESIGN.md). A correct prediction increments the counter; a
+// misprediction resets it to zero. A prediction is high confidence when the
+// counter has saturated past the threshold, i.e. the branch has been
+// predicted correctly many consecutive times. The paper selects JRS with a conservative
 // threshold, prioritising performance (few false positives) over coverage.
 type JRS struct {
 	table     []uint8
 	mask      uint64
 	max       uint8
 	threshold uint8
-	hist      *Gshare // source of global history for indexing; may be nil
 }
 
 // JRSConfig parameterises the estimator.
@@ -53,10 +53,8 @@ func (c *JRSConfig) applyDefaults() {
 	}
 }
 
-// NewJRS returns a JRS estimator. The optional history source lets the
-// estimator share the direction predictor's global history register, as in
-// the original design; pass nil for PC-only indexing.
-func NewJRS(cfg JRSConfig, hist *Gshare) *JRS {
+// NewJRS returns a JRS estimator.
+func NewJRS(cfg JRSConfig) *JRS {
 	cfg.applyDefaults()
 	n := 1 << cfg.TableBits
 	return &JRS{
@@ -64,17 +62,10 @@ func NewJRS(cfg JRSConfig, hist *Gshare) *JRS {
 		mask:      uint64(n - 1),
 		max:       cfg.CounterMax,
 		threshold: cfg.Threshold,
-		hist:      hist,
 	}
 }
 
-func (j *JRS) index(pc uint64) uint64 {
-	h := uint64(0)
-	if j.hist != nil {
-		h = j.hist.History()
-	}
-	return ((pc >> 2) ^ h) & j.mask
-}
+func (j *JRS) index(pc uint64) uint64 { return (pc >> 2) & j.mask }
 
 // Confident reports whether the counter for pc has saturated to the
 // threshold.
@@ -108,19 +99,8 @@ func (Perfect) Confident(uint64) bool { return true }
 // Update is a no-op.
 func (Perfect) Update(uint64, bool) {}
 
-// Never is the null estimator: no misprediction is ever a symptom. Used to
-// model a baseline pipeline with exception-only detection.
-type Never struct{}
-
-// Confident always reports low confidence.
-func (Never) Confident(uint64) bool { return false }
-
-// Update is a no-op.
-func (Never) Update(uint64, bool) {}
-
 // Compile-time interface checks.
 var (
 	_ ConfidenceEstimator = (*JRS)(nil)
 	_ ConfidenceEstimator = Perfect{}
-	_ ConfidenceEstimator = Never{}
 )

@@ -16,8 +16,6 @@ func (b *Bimodal) CopyFrom(src *Bimodal) {
 // CopyFrom makes g an exact copy of src, reusing g's table.
 func (g *Gshare) CopyFrom(src *Gshare) {
 	g.mask = src.mask
-	g.hist = src.hist
-	g.histBits = src.histBits
 	//restorelint:allowalloc -- fresh receiver only; the clone pool re-images identically-shaped predictors
 	g.table = append(g.table[:0], src.table...)
 }
@@ -51,14 +49,11 @@ func (r *RAS) CopyFrom(src *RAS) {
 	r.stack = append(r.stack[:0], src.stack...)
 }
 
-// CopyFrom makes j an exact copy of src's table and thresholds, reusing j's
-// table. The history source is cleared: a copy never tracks the live
-// predictor of another pipeline.
+// CopyFrom makes j an exact copy of src, reusing j's table.
 func (j *JRS) CopyFrom(src *JRS) {
 	j.mask = src.mask
 	j.max = src.max
 	j.threshold = src.threshold
-	j.hist = nil
 	//restorelint:allowalloc -- fresh receiver only; the clone pool re-images identically-shaped predictors
 	j.table = append(j.table[:0], src.table...)
 }

@@ -54,56 +54,32 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 	b.table[i] = bump(b.table[i], taken)
 }
 
-// Gshare XORs global history into the table index.
+// Gshare XORs global history into the table index. The history register
+// belongs to the caller: the pipeline keeps speculative fetch-time history
+// (repaired on flushes) in its own state and passes it to every call, so
+// prediction and training index the same table entry.
 type Gshare struct {
-	table    []counter2
-	mask     uint64
-	hist     uint64
-	histBits uint
+	table []counter2
+	mask  uint64
 }
 
-// NewGshare returns a gshare predictor with 2^bits entries and histBits of
-// global history.
-func NewGshare(bits int, histBits uint) *Gshare {
+// NewGshare returns a gshare predictor with 2^bits entries.
+func NewGshare(bits int) *Gshare {
 	n := 1 << bits
 	t := make([]counter2, n)
 	for i := range t {
 		t[i] = 2
 	}
-	return &Gshare{table: t, mask: uint64(n - 1), histBits: histBits}
+	return &Gshare{table: t, mask: uint64(n - 1)}
 }
 
-func (g *Gshare) index(pc uint64) uint64 {
-	return ((pc >> 2) ^ g.hist) & g.mask
-}
-
-// Predict returns the predicted direction for the branch at pc.
-func (g *Gshare) Predict(pc uint64) bool { return g.table[g.index(pc)] >= 2 }
-
-// Update trains the counter and shifts the resolved direction into the
-// global history register.
-func (g *Gshare) Update(pc uint64, taken bool) {
-	i := g.index(pc)
-	g.table[i] = bump(g.table[i], taken)
-	g.hist <<= 1
-	if taken {
-		g.hist |= 1
-	}
-	g.hist &= (1 << g.histBits) - 1
-}
-
-// History exposes the current global history (used by confidence indexing).
-func (g *Gshare) History() uint64 { return g.hist }
-
-// PredictH predicts using an externally managed history register. Pipelines
-// that maintain speculative fetch-time history (repaired on flushes) use
-// this form so that prediction and training index the same table entry.
+// PredictH returns the predicted direction for the branch at pc under
+// global history hist.
 func (g *Gshare) PredictH(pc, hist uint64) bool {
 	return g.table[((pc>>2)^hist)&g.mask] >= 2
 }
 
 // UpdateH trains the counter the PredictH call with the same history used.
-// The internal history register is not touched.
 func (g *Gshare) UpdateH(pc uint64, taken bool, hist uint64) {
 	i := ((pc >> 2) ^ hist) & g.mask
 	g.table[i] = bump(g.table[i], taken)
@@ -120,7 +96,7 @@ type Combined struct {
 
 // NewCombined returns a combining predictor; each component has 2^bits
 // entries.
-func NewCombined(bits int, histBits uint) *Combined {
+func NewCombined(bits int) *Combined {
 	n := 1 << bits
 	ch := make([]counter2, n)
 	for i := range ch {
@@ -128,39 +104,14 @@ func NewCombined(bits int, histBits uint) *Combined {
 	}
 	return &Combined{
 		bimodal: NewBimodal(bits),
-		gshare:  NewGshare(bits, histBits),
+		gshare:  NewGshare(bits),
 		chooser: ch,
 		mask:    uint64(n - 1),
 	}
 }
 
-// Predict returns the chosen component's prediction.
-func (c *Combined) Predict(pc uint64) bool {
-	if c.chooser[(pc>>2)&c.mask] >= 2 {
-		return c.gshare.Predict(pc)
-	}
-	return c.bimodal.Predict(pc)
-}
-
-// Update trains both components and moves the chooser toward whichever was
-// correct.
-func (c *Combined) Update(pc uint64, taken bool) {
-	bp := c.bimodal.Predict(pc)
-	gp := c.gshare.Predict(pc)
-	i := (pc >> 2) & c.mask
-	if gp == taken && bp != taken {
-		c.chooser[i] = bump(c.chooser[i], true)
-	} else if bp == taken && gp != taken {
-		c.chooser[i] = bump(c.chooser[i], false)
-	}
-	c.bimodal.Update(pc, taken)
-	c.gshare.Update(pc, taken)
-}
-
-// History exposes the gshare component's global history.
-func (c *Combined) History() uint64 { return c.gshare.History() }
-
-// PredictH predicts with an externally managed history register.
+// PredictH returns the chosen component's prediction under global history
+// hist.
 func (c *Combined) PredictH(pc, hist uint64) bool {
 	if c.chooser[(pc>>2)&c.mask] >= 2 {
 		return c.gshare.PredictH(pc, hist)
@@ -168,8 +119,8 @@ func (c *Combined) PredictH(pc, hist uint64) bool {
 	return c.bimodal.Predict(pc)
 }
 
-// UpdateH trains both components and the chooser against the history the
-// prediction was made with.
+// UpdateH trains both components against the history the prediction was
+// made with, and moves the chooser toward whichever was correct.
 func (c *Combined) UpdateH(pc uint64, taken bool, hist uint64) {
 	bp := c.bimodal.Predict(pc)
 	gp := c.gshare.PredictH(pc, hist)
@@ -182,16 +133,3 @@ func (c *Combined) UpdateH(pc uint64, taken bool, hist uint64) {
 	c.bimodal.Update(pc, taken)
 	c.gshare.UpdateH(pc, taken, hist)
 }
-
-// DirectionPredictor is the interface the pipeline front end consumes.
-type DirectionPredictor interface {
-	Predict(pc uint64) bool
-	Update(pc uint64, taken bool)
-}
-
-// Compile-time interface checks.
-var (
-	_ DirectionPredictor = (*Bimodal)(nil)
-	_ DirectionPredictor = (*Gshare)(nil)
-	_ DirectionPredictor = (*Combined)(nil)
-)

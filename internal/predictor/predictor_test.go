@@ -36,23 +36,48 @@ func TestBimodalHysteresis(t *testing.T) {
 	}
 }
 
+// globalHistory is an explicit 8-bit global history register, kept by the
+// caller as the pipeline keeps its own.
+type globalHistory uint64
+
+func (h *globalHistory) push(taken bool) {
+	*h <<= 1
+	if taken {
+		*h |= 1
+	}
+	*h &= 0xFF
+}
+
+// withHistory adapts a history-indexed update to the (pc, taken) form by
+// shifting each outcome into a fresh globalHistory after training.
+func withHistory(update func(pc uint64, taken bool, hist uint64)) func(pc uint64, taken bool) {
+	var h globalHistory
+	return func(pc uint64, taken bool) {
+		update(pc, taken, uint64(h))
+		h.push(taken)
+	}
+}
+
 func TestGshareLearnsPattern(t *testing.T) {
-	g := NewGshare(12, 8)
+	g := NewGshare(12)
+	var h globalHistory
 	pc := uint64(0x3000)
 	// Alternating pattern T,N,T,N is history-predictable.
 	taken := true
 	// Train.
 	for i := 0; i < 200; i++ {
-		g.Update(pc, taken)
+		g.UpdateH(pc, taken, uint64(h))
+		h.push(taken)
 		taken = !taken
 	}
 	// Measure.
 	correct := 0
 	for i := 0; i < 100; i++ {
-		if g.Predict(pc) == taken {
+		if g.PredictH(pc, uint64(h)) == taken {
 			correct++
 		}
-		g.Update(pc, taken)
+		g.UpdateH(pc, taken, uint64(h))
+		h.push(taken)
 		taken = !taken
 	}
 	if correct < 95 {
@@ -63,22 +88,25 @@ func TestGshareLearnsPattern(t *testing.T) {
 func TestCombinedBeatsComponentsOnMix(t *testing.T) {
 	// A workload with one strongly-biased branch and one alternating
 	// branch: the combiner should track both well.
-	c := NewCombined(12, 8)
+	c := NewCombined(12)
+	var h globalHistory
 	pcBias, pcAlt := uint64(0x4000), uint64(0x5004)
 	alt := true
 	correct, total := 0, 0
 	for i := 0; i < 2000; i++ {
-		if c.Predict(pcBias) == true {
+		if c.PredictH(pcBias, uint64(h)) == true {
 			correct++
 		}
 		total++
-		c.Update(pcBias, true)
+		c.UpdateH(pcBias, true, uint64(h))
+		h.push(true)
 
-		if c.Predict(pcAlt) == alt {
+		if c.PredictH(pcAlt, uint64(h)) == alt {
 			correct++
 		}
 		total++
-		c.Update(pcAlt, alt)
+		c.UpdateH(pcAlt, alt, uint64(h))
+		h.push(alt)
 		alt = !alt
 	}
 	acc := float64(correct) / float64(total)
@@ -90,17 +118,19 @@ func TestCombinedBeatsComponentsOnMix(t *testing.T) {
 func TestCombinedAccuracyOnBiasedRandom(t *testing.T) {
 	// 95 % biased random branches across many PCs: expect accuracy near
 	// the bias, matching the paper's ">95 % of branch instances".
-	c := NewCombined(12, 10)
+	c := NewCombined(12)
+	var h globalHistory
 	rng := rand.New(rand.NewSource(5))
 	correct, total := 0, 0
 	for i := 0; i < 50000; i++ {
 		pc := uint64(0x1000 + (rng.Intn(64) * 4))
 		taken := rng.Float64() < 0.95
-		if c.Predict(pc) == taken {
+		if c.PredictH(pc, uint64(h)) == taken {
 			correct++
 		}
 		total++
-		c.Update(pc, taken)
+		c.UpdateH(pc, taken, uint64(h))
+		h.push(taken)
 	}
 	acc := float64(correct) / float64(total)
 	if acc < 0.90 {
@@ -181,7 +211,7 @@ func TestRASWrapAround(t *testing.T) {
 }
 
 func TestJRSConfidenceLifecycle(t *testing.T) {
-	j := NewJRS(JRSConfig{TableBits: 8, CounterMax: 15, Threshold: 15}, nil)
+	j := NewJRS(JRSConfig{TableBits: 8, CounterMax: 15, Threshold: 15})
 	pc := uint64(0x1000)
 	if j.Confident(pc) {
 		t.Error("cold JRS reports high confidence")
@@ -204,7 +234,7 @@ func TestJRSConfidenceLifecycle(t *testing.T) {
 }
 
 func TestJRSDefaults(t *testing.T) {
-	j := NewJRS(JRSConfig{}, nil)
+	j := NewJRS(JRSConfig{})
 	pc := uint64(0x42000)
 	for i := 0; i < 15; i++ {
 		j.Update(pc, true)
@@ -214,27 +244,12 @@ func TestJRSDefaults(t *testing.T) {
 	}
 }
 
-func TestJRSWithHistorySharing(t *testing.T) {
-	g := NewGshare(10, 6)
-	j := NewJRS(JRSConfig{TableBits: 10}, g)
-	pc := uint64(0x9000)
-	// Just exercise the indexing path with evolving history.
-	for i := 0; i < 100; i++ {
-		j.Update(pc, true)
-		g.Update(pc, i%2 == 0)
-	}
-	// With shifting history the counters spread over several entries;
-	// confidence may or may not be set, but nothing should panic and
-	// updates must be accepted.
-	_ = j.Confident(pc)
-}
-
 func TestJRSSelectivity(t *testing.T) {
 	// On a branch that mispredicts 10% of the time, the fraction of
 	// predictions labelled high-confidence must be well below that of an
 	// always-correct branch: that selectivity is what makes JRS
 	// conservative (the paper's stated reason coverage drops in Fig 5).
-	j := NewJRS(JRSConfig{TableBits: 8, CounterMax: 15, Threshold: 15}, nil)
+	j := NewJRS(JRSConfig{TableBits: 8, CounterMax: 15, Threshold: 15})
 	rng := rand.New(rand.NewSource(9))
 	pcNoisy, pcClean := uint64(0x1000), uint64(0x2004) // distinct table entries
 	noisyHigh, cleanHigh := 0, 0
@@ -259,22 +274,17 @@ func TestJRSSelectivity(t *testing.T) {
 
 func TestOracleEstimators(t *testing.T) {
 	var p Perfect
-	var never Never
 	if !p.Confident(0x1234) {
 		t.Error("Perfect must always be confident")
 	}
-	if never.Confident(0x1234) {
-		t.Error("Never must never be confident")
-	}
 	p.Update(0, false)
-	never.Update(0, true)
 }
 
 func TestPredictHUpdateHConsistency(t *testing.T) {
 	// External-history prediction must train the same table entries it
 	// predicts with: a pattern presented under a fixed history register
 	// becomes perfectly predictable.
-	g := NewGshare(10, 8)
+	g := NewGshare(10)
 	pc := uint64(0x7000)
 	hist := uint64(0xA5)
 	for i := 0; i < 10; i++ {
@@ -283,23 +293,14 @@ func TestPredictHUpdateHConsistency(t *testing.T) {
 	if !g.PredictH(pc, hist) {
 		t.Error("gshare PredictH did not learn under fixed history")
 	}
-	if g.PredictH(pc, hist^0xFF) == g.PredictH(pc, hist) && g.History() != 0 {
-		t.Log("different histories may alias; History should be untouched")
-	}
-	if g.History() != 0 {
-		t.Error("UpdateH must not move the internal history register")
-	}
 
-	c := NewCombined(10, 8)
+	c := NewCombined(10)
 	for i := 0; i < 30; i++ {
 		c.UpdateH(pc, i%2 == 0, uint64(i%2))
 	}
 	// Pattern keyed entirely by history bit: both phases predictable.
 	if !c.PredictH(pc, 0) {
 		t.Error("combined PredictH(hist=0) wrong")
-	}
-	if c.History() != 0 {
-		t.Error("combined UpdateH must not move internal history")
 	}
 }
 
@@ -346,11 +347,11 @@ func TestCopyFrom(t *testing.T) {
 		func() *Bimodal { b := NewBimodal(8); train(b.Update); return b },
 		(*Bimodal).CopyFrom, func(b *Bimodal) { untrain(b.Update) })
 	checkCopyFrom(t,
-		func() *Gshare { g := NewGshare(8, 4); train(g.Update); return g },
-		(*Gshare).CopyFrom, func(g *Gshare) { untrain(g.Update) })
+		func() *Gshare { g := NewGshare(8); train(withHistory(g.UpdateH)); return g },
+		(*Gshare).CopyFrom, func(g *Gshare) { untrain(withHistory(g.UpdateH)) })
 	checkCopyFrom(t,
-		func() *Combined { c := NewCombined(8, 4); train(c.Update); return c },
-		(*Combined).CopyFrom, func(c *Combined) { untrain(c.Update) })
+		func() *Combined { c := NewCombined(8); train(withHistory(c.UpdateH)); return c },
+		(*Combined).CopyFrom, func(c *Combined) { untrain(withHistory(c.UpdateH)) })
 	checkCopyFrom(t,
 		func() *BTB {
 			b := NewBTB(4, 2)
@@ -367,18 +368,9 @@ func TestCopyFrom(t *testing.T) {
 	checkCopyFrom(t,
 		func() *RAS { r := NewRAS(4); r.Push(1); r.Push(2); return r },
 		(*RAS).CopyFrom, func(r *RAS) { r.Pop(); r.Push(7); r.Push(8) })
-	// A copy never tracks another pipeline's history: CopyFrom clears the
-	// history source, so the source is trained with one and then detached,
-	// and the dirtied copy carries one that CopyFrom must drop.
 	checkCopyFrom(t,
-		func() *JRS {
-			j := NewJRS(JRSConfig{TableBits: 6}, NewGshare(4, 2))
-			train(func(pc uint64, taken bool) { j.Update(pc, taken) })
-			j.hist = nil
-			return j
-		},
+		func() *JRS { j := NewJRS(JRSConfig{TableBits: 6}); train(j.Update); return j },
 		(*JRS).CopyFrom, func(j *JRS) {
-			j.hist = NewGshare(4, 2)
 			for _, pc := range pcs {
 				j.Update(pc, false)
 			}

@@ -12,16 +12,16 @@ import (
 )
 
 // SaveState serialises the combined predictor: bimodal table | gshare table
-// | chooser table | u64 global history.
+// | chooser table | u64 zero. The trailing word once held a global history
+// register that no pipeline moved; it stays, written as zero, so images keep
+// their layout.
 func (c *Combined) SaveState() []byte {
 	nb, ng, nc := len(c.bimodal.table), len(c.gshare.table), len(c.chooser)
 	out := make([]byte, 0, nb+ng+nc+8)
 	out = append(out, c.bimodal.table...)
 	out = append(out, c.gshare.table...)
 	out = append(out, c.chooser...)
-	var u [8]byte
-	binary.LittleEndian.PutUint64(u[:], c.gshare.hist)
-	return append(out, u[:]...)
+	return append(out, make([]byte, 8)...)
 }
 
 // LoadState restores a Combined blob into an identically configured
@@ -34,7 +34,6 @@ func (c *Combined) LoadState(b []byte) error {
 	copy(c.bimodal.table, b[:nb])
 	copy(c.gshare.table, b[nb:nb+ng])
 	copy(c.chooser, b[nb+ng:nb+ng+nc])
-	c.gshare.hist = binary.LittleEndian.Uint64(b[nb+ng+nc:])
 	return nil
 }
 

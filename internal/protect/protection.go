@@ -47,12 +47,13 @@ func (m *Map) Protection(i int) Protection {
 	return m.prot[i]
 }
 
-// Stats summarises a protection map over its state space.
+// Stats summarises a protection map over its state space. The JSON names
+// are part of every µarch campaign manifest.
 type Stats struct {
-	TotalBits    uint64
-	ECCBits      uint64
-	ParityBits   uint64
-	OverheadBits uint64 // extra check bits the protection costs
+	TotalBits    uint64 `json:"total_bits"`
+	ECCBits      uint64 `json:"ecc_bits"`
+	ParityBits   uint64 `json:"parity_bits"`
+	OverheadBits uint64 `json:"overhead_bits"` // extra check bits the protection costs
 }
 
 // CoveredFraction returns the fraction of state bits under any protection.

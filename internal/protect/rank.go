@@ -381,8 +381,6 @@ type DeriveOptions struct {
 	// (cycles); zero selects defaults.
 	ProfileWarmup uint64
 	ProfileWindow uint64
-	// Static overrides the staticvuln analysis options.
-	Static staticvuln.Options
 }
 
 // Derive closes the static→hardening loop for one benchmark: analyze the
@@ -406,7 +404,7 @@ func Derive(bench workload.Benchmark, opt DeriveOptions) (*Policy, *Ranking, err
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := staticvuln.Analyze(prog, opt.Static)
+	rep, err := staticvuln.Analyze(prog)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -44,8 +44,9 @@ const (
 	PolicyDelayed
 )
 
-// Config parameterises the ReStore mechanisms. The zero value of each
-// Disable* field leaves the corresponding detector enabled.
+// Config parameterises the ReStore mechanisms. Every symptom detector of
+// Section 3 (exceptions, watchdog deadlock, high-confidence branch
+// mispredictions) is always on.
 type Config struct {
 	// Interval is the number of retired instructions between
 	// checkpoints (the paper sweeps 25..2000; default 100).
@@ -54,11 +55,6 @@ type Config struct {
 	Checkpoints int
 	// Policy is the rollback policy (default PolicyImmediate).
 	Policy Policy
-
-	// Symptom selection.
-	DisableExceptionSymptom bool
-	DisableBranchSymptom    bool
-	DisableDeadlockSymptom  bool
 
 	// EventLogSize is the branch-outcome log capacity (default 8192).
 	EventLogSize int
@@ -397,7 +393,7 @@ func (p *Processor) finishReplay() {
 // onBranch observes branch resolutions for the high-confidence-misprediction
 // symptom.
 func (p *Processor) onBranch(ev pipeline.BranchEvent) {
-	if !ev.Symptom() || p.cfg.DisableBranchSymptom {
+	if !ev.Symptom() {
 		return
 	}
 	if p.replaying {
@@ -545,9 +541,6 @@ func (p *Processor) Run(n, maxCycles uint64) (Report, error) {
 
 		case pipeline.StatusExcepted:
 			kind, pc, _ := p.pipe.Exception()
-			if p.cfg.DisableExceptionSymptom {
-				return p.Report(), fmt.Errorf("%w: %v at %#x", ErrGenuineException, kind, pc)
-			}
 			if p.excArmed && p.excPC == pc && p.archIndex == p.excIdx {
 				// Recurred at the same architectural point: the
 				// exception is genuine (Section 3.2.1).
@@ -563,9 +556,6 @@ func (p *Processor) Run(n, maxCycles uint64) (Report, error) {
 			}
 
 		case pipeline.StatusDeadlocked:
-			if p.cfg.DisableDeadlockSymptom {
-				return p.Report(), ErrUnrecoverable
-			}
 			if p.dlArmed && p.archIndex == p.dlIdx {
 				return p.Report(), ErrUnrecoverable
 			}

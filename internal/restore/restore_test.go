@@ -354,21 +354,6 @@ func TestDeadlockSymptomRecovery(t *testing.T) {
 	}
 }
 
-func TestDisabledDetectors(t *testing.T) {
-	proc, _ := newPointerLoopProcessor(t, Config{
-		Interval:                100,
-		DisableExceptionSymptom: true,
-	})
-	if _, err := proc.Run(3_000, 500_000); err != nil {
-		t.Fatal(err)
-	}
-	proc.Pipeline().CorruptArchReg(isa.Reg(10), 45)
-	_, err := proc.Run(20_000, 2_000_000)
-	if !errors.Is(err, ErrGenuineException) {
-		t.Errorf("with exceptions disabled the fault should terminate the run, got %v", err)
-	}
-}
-
 func TestCycleBudget(t *testing.T) {
 	proc, _ := newProcessor(t, workload.Gzip, Config{Interval: 100})
 	_, err := proc.Run(1_000_000_000, 1000)

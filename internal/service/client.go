@@ -15,8 +15,6 @@ import (
 type Client struct {
 	// Base is the daemon address, host:port or a full http:// URL.
 	Base string
-	// HTTPClient overrides http.DefaultClient when set.
-	HTTPClient *http.Client
 }
 
 // NewClientFromRoot discovers the daemon serving a service root via its
@@ -37,13 +35,6 @@ func (c *Client) url(path string) string {
 	return base + path
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
 // do issues one API request and decodes the JSON response (or the error
 // envelope) into out.
 func (c *Client) do(method, path string, body, out any) error {
@@ -62,7 +53,7 @@ func (c *Client) do(method, path string, body, out any) error {
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

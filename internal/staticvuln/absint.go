@@ -81,10 +81,9 @@ type layout struct {
 	writePg  map[uint64]bool
 	codeLo   uint64
 	codeHi   uint64
-	slotArea uint64
 }
 
-func newLayout(p *workload.Program, slotArea uint64) *layout {
+func newLayout(p *workload.Program) *layout {
 	l := &layout{
 		prog:     p,
 		segStack: len(p.Segments),
@@ -93,7 +92,6 @@ func newLayout(p *workload.Program, slotArea uint64) *layout {
 		writePg:  make(map[uint64]bool),
 		codeLo:   p.CodeBase,
 		codeHi:   p.CodeBase + uint64(len(p.Code))*isa.InstBytes,
-		slotArea: slotArea,
 	}
 	addPages := func(base, size uint64, writable bool) {
 		lo := base &^ (mem.PageSize - 1)
@@ -565,7 +563,7 @@ func (ai *absinterp) makeSite(av aval, size uint64, isStore bool) *memSite {
 		rep, haveRep = av.c, true
 	case avRegion:
 		s.seg = av.seg
-		rep, haveRep = lay.segBase(av.seg)+lay.slotArea, true
+		rep, haveRep = lay.segBase(av.seg)+slotArea, true
 	}
 	if !haveRep {
 		// Unknown address: treat every non-alignment flip as leaving the

@@ -33,7 +33,7 @@ func TestStaticVsDynamicAVF(t *testing.T) {
 		t.Run(string(b), func(t *testing.T) {
 			t.Parallel()
 			prog := workload.MustGenerate(b, workload.Config{Seed: seed, Scale: scale})
-			rep, err := staticvuln.Analyze(prog, staticvuln.Options{})
+			rep, err := staticvuln.Analyze(prog)
 			if err != nil {
 				t.Fatalf("static analysis: %v", err)
 			}

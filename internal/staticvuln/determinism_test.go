@@ -38,7 +38,7 @@ func TestReportSerializationDeterministic(t *testing.T) {
 		var firstRender string
 		for i := 0; i < 4; i++ {
 			prog := workload.MustGenerate(b, workload.Config{Seed: 11, Scale: 0.25})
-			rep, err := Analyze(prog, Options{})
+			rep, err := Analyze(prog)
 			if err != nil {
 				t.Fatalf("%s: %v", b, err)
 			}

@@ -207,7 +207,7 @@ func (mc *memCells) demandStore(site *memSite) fact {
 			return false
 		}
 		if lay.isDataSeg(seg) {
-			return addr-lay.segBase(seg) >= lay.slotArea
+			return addr-lay.segBase(seg) >= slotArea
 		}
 		return true // stack and code cells alias their whole region
 	}
@@ -262,7 +262,6 @@ func (mc *memCells) demandStore(site *memSite) fact {
 type liveness struct {
 	g        *cfg
 	ab       *absResult
-	opt      Options
 	cells    *memCells
 	boundary regFacts
 	liveIn   []regFacts
@@ -274,11 +273,10 @@ type liveness struct {
 	reach     []bool // blocks reachable from entry
 }
 
-func newLiveness(g *cfg, ab *absResult, opt Options) *liveness {
+func newLiveness(g *cfg, ab *absResult) *liveness {
 	lv := &liveness{
 		g:       g,
 		ab:      ab,
-		opt:     opt,
 		cells:   newMemCells(ab.layout),
 		liveIn:  make([]regFacts, len(g.blocks)),
 		liveOut: make([]regFacts, len(g.blocks)),
@@ -416,8 +414,8 @@ func (lv *liveness) solve() error {
 		post = append(post, order[i])
 	}
 	for round := 0; ; round++ {
-		if round > lv.opt.MaxRounds {
-			return fmt.Errorf("staticvuln: liveness did not converge in %d rounds", lv.opt.MaxRounds)
+		if round > maxRounds {
+			return fmt.Errorf("staticvuln: liveness did not converge in %d rounds", maxRounds)
 		}
 		changed := false
 		for _, b := range post {

@@ -70,69 +70,41 @@ const (
 	numClasses
 )
 
-// Options configures an analysis.
-type Options struct {
-	// Weights supplies per-static-instruction execution counts (e.g. from
-	// Profile). When nil, a fault-free profile run is performed; when that
-	// is not possible the loop-depth estimate is used.
-	Weights []uint64
+// The analysis constants.
+const (
+	// profileSkip and profileCount shape the profile run: the injection
+	// campaign's warm-up is skipped, then this many instructions are
+	// tallied.
+	profileSkip  = 5000
+	profileCount = 30000
 
-	// ProfileSkip/ProfileCount shape the implicit profile run. Zero values
-	// select defaults matching the injection campaign's warm-up.
-	ProfileSkip  uint64
-	ProfileCount uint64
-
-	// SlotArea is the per-segment byte offset below which constant-address
+	// slotArea is the per-segment byte offset below which constant-address
 	// control slots are assumed not to alias indexed accesses (the kernels'
-	// control-block convention). Zero selects the default of 64.
-	SlotArea uint64
+	// control-block convention).
+	slotArea = 64
 
-	// MaxRounds bounds the backward fixpoint. Zero selects 256.
-	MaxRounds int
-}
+	// maxRounds bounds the backward fixpoint.
+	maxRounds = 256
+)
 
-func (o Options) withDefaults() Options {
-	if o.SlotArea == 0 {
-		o.SlotArea = 64
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 256
-	}
-	if o.ProfileSkip == 0 {
-		o.ProfileSkip = 5000
-	}
-	if o.ProfileCount == 0 {
-		o.ProfileCount = 30000
-	}
-	return o
-}
-
-// Analyze runs the full static vulnerability analysis on a program.
-func Analyze(p *workload.Program, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
-
+// Analyze runs the full static vulnerability analysis on a program. Its
+// weights come from a fault-free profile run; when that is not possible the
+// loop-depth estimate is used.
+func Analyze(p *workload.Program) (*Report, error) {
 	g, err := buildCFG(p)
 	if err != nil {
 		return nil, err
 	}
-	lay := newLayout(p, opt.SlotArea)
-	ab := runAbsint(g, lay)
+	ab := runAbsint(g, newLayout(p))
 
-	lv := newLiveness(g, ab, opt)
+	lv := newLiveness(g, ab)
 	if err := lv.solve(); err != nil {
 		return nil, err
 	}
 
-	weights := opt.Weights
-	if weights == nil {
-		weights, err = Profile(p, opt.ProfileSkip, opt.ProfileCount)
-		if err != nil {
-			weights = staticWeights(g, lv.reach)
-		}
-	}
-	if len(weights) != len(g.insts) {
-		return nil, fmt.Errorf("staticvuln: weight vector has %d entries for %d instructions",
-			len(weights), len(g.insts))
+	weights, err := Profile(p, profileSkip, profileCount)
+	if err != nil {
+		weights = staticWeights(g, lv.reach)
 	}
 
 	rep := &Report{Program: p.Name, Insts: make([]InstReport, len(g.insts))}

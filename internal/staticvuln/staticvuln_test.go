@@ -227,7 +227,7 @@ func findInst(t *testing.T, rep *Report, match func(isa.Inst) bool) *InstReport 
 
 func TestDeadAccumulator(t *testing.T) {
 	p := asm.MustAssemble("deadacc", deadAccProg)
-	rep, err := Analyze(p, Options{})
+	rep, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ odd:
 
 func TestFlagBranchCondition(t *testing.T) {
 	p := asm.MustAssemble("flag", flagProg)
-	rep, err := Analyze(p, Options{})
+	rep, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ start:
 
 func TestSelfLiveCounter(t *testing.T) {
 	p := asm.MustAssemble("selflive", selfLiveProg)
-	rep, err := Analyze(p, Options{})
+	rep, err := Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ start:
 func TestAnalyzeBenchmarksSane(t *testing.T) {
 	for _, b := range workload.Benchmarks() {
 		p := workload.MustGenerate(b, workload.Config{Seed: 7, Scale: 0.25})
-		rep, err := Analyze(p, Options{})
+		rep, err := Analyze(p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -405,7 +405,7 @@ func TestAnalyzeBenchmarksSane(t *testing.T) {
 			}
 		}
 		// Determinism: a second analysis of the same program agrees.
-		rep2, err := Analyze(p, Options{})
+		rep2, err := Analyze(p)
 		if err != nil {
 			t.Fatalf("%s: %v", b, err)
 		}
@@ -438,11 +438,7 @@ func TestLow32Restriction(t *testing.T) {
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze(&workload.Program{Name: "empty"}, Options{}); err == nil {
+	if _, err := Analyze(&workload.Program{Name: "empty"}); err == nil {
 		t.Error("empty program should fail")
-	}
-	p := asm.MustAssemble("tiny", "start:\n\tbr start\n")
-	if _, err := Analyze(p, Options{Weights: []uint64{1, 2, 3, 4, 5}}); err == nil {
-		t.Error("mismatched weight vector should fail")
 	}
 }

@@ -12,34 +12,18 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Options controls trace rendering.
-type Options struct {
-	// MaxInstructions bounds the number of commits traced (0 = no bound).
-	MaxInstructions uint64
-	// ShowStores annotates store commits with address and value.
-	ShowStores bool
-	// ShowBranches annotates branch commits with direction and target.
-	ShowBranches bool
-	// ShowRegs annotates register writebacks with the destination value.
-	ShowRegs bool
-}
-
-// DefaultOptions enables all annotations.
-func DefaultOptions() Options {
-	return Options{ShowStores: true, ShowBranches: true, ShowRegs: true}
-}
-
 // Writer streams commit events as formatted trace lines.
 type Writer struct {
 	w     io.Writer
-	opts  Options
+	limit uint64
 	count uint64
 	err   error
 }
 
-// NewWriter returns a trace writer.
-func NewWriter(w io.Writer, opts Options) *Writer {
-	return &Writer{w: w, opts: opts}
+// NewWriter returns a trace writer that traces at most limit commits (0 = no
+// bound).
+func NewWriter(w io.Writer, limit uint64) *Writer {
+	return &Writer{w: w, limit: limit}
 }
 
 // Count returns the number of events written.
@@ -50,7 +34,7 @@ func (t *Writer) Err() error { return t.err }
 
 // Done reports whether the instruction bound has been reached.
 func (t *Writer) Done() bool {
-	return t.opts.MaxInstructions > 0 && t.count >= t.opts.MaxInstructions
+	return t.limit > 0 && t.count >= t.limit
 }
 
 // Commit formats one commit event. Wire it to pipeline.CommitHook.
@@ -59,14 +43,16 @@ func (t *Writer) Commit(ev pipeline.CommitEvent) {
 		return
 	}
 	t.count++
-	line := FormatEvent(ev, t.opts)
+	line := FormatEvent(ev)
 	if _, err := io.WriteString(t.w, line+"\n"); err != nil {
 		t.err = err
 	}
 }
 
-// FormatEvent renders a single commit event as one line.
-func FormatEvent(ev pipeline.CommitEvent, opts Options) string {
+// FormatEvent renders a single commit event as one line, annotating a
+// register writeback with the destination value, a store with its address
+// and value, and a branch with its direction and target.
+func FormatEvent(ev pipeline.CommitEvent) string {
 	line := fmt.Sprintf("%10d  %#010x  %-24s", ev.Index, ev.PC, ev.Inst)
 	switch {
 	case ev.Exception != arch.ExcNone:
@@ -74,13 +60,13 @@ func FormatEvent(ev pipeline.CommitEvent, opts Options) string {
 	case ev.Halted:
 		line += "  << halt"
 	default:
-		if opts.ShowRegs && ev.HasDest {
+		if ev.HasDest {
 			line += fmt.Sprintf("  %s=%#x", ev.DestArch, ev.DestVal)
 		}
-		if opts.ShowStores && ev.IsStore {
+		if ev.IsStore {
 			line += fmt.Sprintf("  [%#x]=%#x", ev.MemAddr, ev.StoreVal)
 		}
-		if opts.ShowBranches && ev.IsBranch {
+		if ev.IsBranch {
 			dir := "not-taken"
 			if ev.Taken {
 				dir = fmt.Sprintf("taken -> %#x", ev.Target)

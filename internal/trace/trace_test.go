@@ -36,7 +36,7 @@ func testPipeline(t *testing.T) *pipeline.Pipeline {
 func TestWriterTracesCommits(t *testing.T) {
 	p := testPipeline(t)
 	var sb strings.Builder
-	tw := NewWriter(&sb, DefaultOptions())
+	tw := NewWriter(&sb, 0)
 	p.CommitHook = tw.Commit
 	p.RunCycles(10_000)
 
@@ -57,7 +57,7 @@ func TestWriterTracesCommits(t *testing.T) {
 func TestWriterRespectsBound(t *testing.T) {
 	p := testPipeline(t)
 	var sb strings.Builder
-	tw := NewWriter(&sb, Options{MaxInstructions: 3})
+	tw := NewWriter(&sb, 3)
 	p.CommitHook = tw.Commit
 	p.RunCycles(10_000)
 	if tw.Count() != 3 {
@@ -83,23 +83,11 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestWriterSurfacesErrors(t *testing.T) {
 	p := testPipeline(t)
-	tw := NewWriter(&failWriter{}, DefaultOptions())
+	tw := NewWriter(&failWriter{}, 0)
 	p.CommitHook = tw.Commit
 	p.RunCycles(10_000)
 	if tw.Err() == nil {
 		t.Error("write error not surfaced")
-	}
-}
-
-func TestAnnotationToggles(t *testing.T) {
-	p := testPipeline(t)
-	var sb strings.Builder
-	tw := NewWriter(&sb, Options{}) // all annotations off
-	p.CommitHook = tw.Commit
-	p.RunCycles(10_000)
-	out := sb.String()
-	if strings.Contains(out, "r2=") || strings.Contains(out, "[0x") || strings.Contains(out, "taken") {
-		t.Errorf("annotations leaked with options off:\n%s", out)
 	}
 }
 
