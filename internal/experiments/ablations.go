@@ -50,6 +50,7 @@ func AblateJRS(opts Options, thresholds []uint8, interval uint64) (*JRSAblationR
 		interval = 100
 	}
 	res := &JRSAblationResult{Interval: interval}
+	wcfg := workload.Config{Seed: opts.Seed, Scale: opts.Scale}
 	for _, th := range thresholds {
 		pcfg := pipeline.DefaultConfig()
 		pcfg.JRS = predictor.JRSConfig{TableBits: 12, CounterMax: 15, Threshold: th}
@@ -74,7 +75,7 @@ func AblateJRS(opts Options, thresholds []uint8, interval uint64) (*JRSAblationR
 			}
 			trials = append(trials, r.Trials...)
 
-			in, err := perf.MeasureInputs(bench, opts.workload(), 100_000, pcfg)
+			in, err := perf.MeasureInputs(bench, wcfg, 100_000, pcfg)
 			if err != nil {
 				return nil, err
 			}

@@ -106,12 +106,6 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// workload is the generator configuration every experiment derives its
-// programs from.
-func (o *Options) workload() workload.Config {
-	return workload.Config{Seed: o.Seed, Scale: o.Scale}
-}
-
 func scaleCount(base int, factor float64, min int) int {
 	n := int(float64(base) * factor)
 	if n < min {
@@ -270,9 +264,10 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	opts.applyDefaults()
 	res := &Fig7Result{PerBench: make(map[workload.Benchmark]perf.Inputs, len(opts.Benchmarks))}
 	var all []perf.Inputs
+	wcfg := workload.Config{Seed: opts.Seed, Scale: opts.Scale}
 	insts := uint64(scaleCount(200_000, opts.TrialFactor, 30_000))
 	for _, bench := range opts.Benchmarks {
-		in, err := perf.MeasureInputs(bench, opts.workload(), insts, pipeline.DefaultConfig())
+		in, err := perf.MeasureInputs(bench, wcfg, insts, pipeline.DefaultConfig())
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s: %w", bench, err)
 		}
@@ -285,7 +280,7 @@ func Fig7(opts Options) (*Fig7Result, error) {
 	// Direct simulation of the immediate policy on a reduced window,
 	// cross-checking the model.
 	simInsts := uint64(scaleCount(30_000, opts.TrialFactor, 10_000))
-	sim, err := perf.MeasureSweep(opts.Benchmarks, opts.workload(), simInsts,
+	sim, err := perf.MeasureSweep(opts.Benchmarks, wcfg, simInsts,
 		pipeline.DefaultConfig(), Fig7Intervals)
 	if err != nil {
 		return nil, err

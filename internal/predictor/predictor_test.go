@@ -48,8 +48,9 @@ func (h *globalHistory) push(taken bool) {
 	*h &= 0xFF
 }
 
-// withHistory adapts a history-indexed update to the (pc, taken) form by
-// shifting each outcome into a fresh globalHistory after training.
+// withHistory adapts a history-indexed update to the (pc, taken) form. The
+// returned func keeps its own globalHistory and shifts each outcome into it
+// after the update.
 func withHistory(update func(pc uint64, taken bool, hist uint64)) func(pc uint64, taken bool) {
 	var h globalHistory
 	return func(pc uint64, taken bool) {
