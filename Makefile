@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race engine bench-module lint vet staticcheck restorelint fuzz bench bench-baseline bench-check telemetry resume serve serve-smoke protect clean
+.PHONY: all build test race engine proof bench-module lint vet staticcheck restorelint fuzz bench bench-baseline bench-check telemetry resume serve serve-smoke protect clean
 
 all: build test lint
 
@@ -22,6 +22,12 @@ race:
 # clone pool are checked hardest.
 engine:
 	$(GO) test -race ./internal/inject/... ./internal/experiments/...
+
+# The paper-scale proof run: fig4, fig4-latches and fig6 at seed 42, every
+# slot with the µarch campaign's shortcuts against full simulation. Minutes,
+# not seconds, so it sits behind a build tag outside `test`.
+proof:
+	$(GO) test -tags proof -run TestPaperScaleProof -timeout 30m ./internal/inject
 
 # The campaign benchmark (bench/, run by bench/run.sh) is a separate module
 # that the root build and test skip. Vet and test it so an inject or
@@ -52,8 +58,9 @@ restorelint:
 	$(GO) run ./tools/restorelint
 
 # Short fuzz passes over the assembler, the decoder, the journal scan, the
-# manifest reader, the checkpoint container and the golden-image loader
-# (regression corpus plus 10s of new inputs each).
+# manifest reader, the checkpoint container, the golden-image loader, the
+# daemon's job-spec decoder and its job.json loader (regression corpus plus
+# 10s of new inputs each).
 fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzDecode -fuzztime 10s
@@ -61,6 +68,8 @@ fuzz:
 	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s
 	$(GO) test ./internal/ckptio -run '^$$' -fuzz FuzzReadImage -fuzztime 10s
 	$(GO) test ./internal/pipeline -run '^$$' -fuzz FuzzLoadGoldenImage -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzLoadJob -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -46,17 +46,17 @@ func TestPipelineStepAllocFree(t *testing.T) {
 }
 
 // TestPipelineStepMarkingAllocFree pins the golden recorder's shape of the
-// hot path: Step with register-access marking on must not allocate either.
+// hot path: Step with access marking on must not allocate either.
 func TestPipelineStepMarkingAllocFree(t *testing.T) {
 	p := warmPipeline(t)
-	var marked pipeline.RegMask
-	p.MarkRegAccess(&marked)
+	var marked pipeline.AccessMask
+	p.MarkAccess(&marked)
 	allocs := testing.AllocsPerRun(2_000, p.Step)
 	if allocs != 0 {
 		t.Fatalf("pipeline.Step with marking allocated %.2f objects/op in steady state, want 0", allocs)
 	}
-	if marked == (pipeline.RegMask{}) {
-		t.Fatal("marking pipeline marked no register")
+	if marked == (pipeline.AccessMask{}) {
+		t.Fatal("marking pipeline marked no access unit")
 	}
 }
 

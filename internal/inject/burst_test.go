@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -45,6 +46,26 @@ func TestBurstClipsAtElementEdge(t *testing.T) {
 	for i := range a.Trials {
 		if a.Trials[i] != b.Trials[i] {
 			t.Fatalf("burst campaign not deterministic at trial %d", i)
+		}
+	}
+}
+
+// A negative count is an error, not a campaign: a negative BurstBits used to
+// flip no bit, so every trial read masked or, where the golden log resolved
+// it, stuck; a negative Points or TrialsPerPoint panicked sizing the plan.
+func TestUArchRejectsNegativeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*UArchConfig)
+	}{
+		{"Points", func(c *UArchConfig) { c.Points = -1 }},
+		{"TrialsPerPoint", func(c *UArchConfig) { c.TrialsPerPoint = -1 }},
+		{"BurstBits", func(c *UArchConfig) { c.BurstBits = -1 }},
+	} {
+		cfg := smallUArch(workload.Gzip)
+		tc.set(&cfg)
+		if _, err := RunUArch(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: err = %v, want an error naming it", tc.field, err)
 		}
 	}
 }

@@ -99,6 +99,21 @@ func (c *UArchConfig) applyDefaults() {
 	}
 }
 
+// validate rejects the counts applyDefaults leaves negative: a negative
+// Points or TrialsPerPoint cannot size the plan, and a negative BurstBits
+// would flip no bit.
+func (c *UArchConfig) validate() error {
+	switch {
+	case c.Points < 0:
+		return fmt.Errorf("inject: negative Points %d", c.Points)
+	case c.TrialsPerPoint < 0:
+		return fmt.Errorf("inject: negative TrialsPerPoint %d", c.TrialsPerPoint)
+	case c.BurstBits < 0:
+		return fmt.Errorf("inject: negative BurstBits %d", c.BurstBits)
+	}
+	return nil
+}
+
 // pipelineConfig is the processor configuration the campaign simulates.
 func (c *UArchConfig) pipelineConfig() pipeline.Config {
 	if c.Pipeline != nil {
@@ -150,10 +165,10 @@ type uarchGolden struct {
 	// control-flow symptoms (the paper classifies cfv as faults that
 	// CAUSED incorrect control flow).
 	mispredicts []mispRec
-	// touched holds every physical register the golden run reads or writes
-	// in the window; a trial that flips any other register is resolved
+	// touched holds every access unit the golden run reads or writes in the
+	// window; a trial that flips bits of other units only is resolved
 	// without simulation (see prepare).
-	touched pipeline.RegMask
+	touched pipeline.AccessMask
 }
 
 // goldenCommit is what a trial compares of one golden commit: 64 bytes,
@@ -200,6 +215,9 @@ type uarchPick struct {
 // ErrInterrupted.
 func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
 	if err != nil {
 		return nil, err
@@ -252,11 +270,12 @@ type uarchModel struct {
 	log          *goldenLog
 	goldenCycles *obs.Counter // cycles the recorder simulated
 
-	// The recorder marks the registers it reads or writes into access each
-	// cycle, and folds them into touched[i] for every point i whose window,
-	// cycles (p, p+W], holds that cycle: those are points winLo..winHi-1.
-	access       pipeline.RegMask
-	touched      []pipeline.RegMask // per point
+	// The recorder marks the access units it reads or writes into access
+	// each cycle, and folds them into touched[i] for every point i whose
+	// window, cycles (p, p+W], holds that cycle: those are points
+	// winLo..winHi-1.
+	access       pipeline.AccessMask
+	touched      []pipeline.AccessMask // per point
 	winLo, winHi int
 
 	trialCycles *obs.Counter // faulty cycles simulated
@@ -324,7 +343,7 @@ func (m *uarchModel) plan() (int, error) {
 		m.offsets[i] = uint64(rng.Int63n(int64(cfg.SpreadCycles)))
 	}
 	sort.Slice(m.offsets, func(i, j int) bool { return m.offsets[i] < m.offsets[j] })
-	m.touched = make([]pipeline.RegMask, cfg.Points)
+	m.touched = make([]pipeline.AccessMask, cfg.Points)
 	if cfg.LatchesOnly && m.space.TotalBits(true) == 0 {
 		return 0, fmt.Errorf("latch-only campaign over 0 latch bits: %w", ErrNoEligibleBits)
 	}
@@ -385,7 +404,7 @@ func (m *uarchModel) record() (bool, error) {
 // fresh log. The old log is left to the trials still reading it.
 func (m *uarchModel) forkRecorder(start uint64) {
 	m.rec = m.master.Clone()
-	m.rec.MarkRegAccess(&m.access)
+	m.rec.MarkAccess(&m.access)
 	m.rec.CommitHook = func(ev pipeline.CommitEvent) {
 		m.log.commits = append(m.log.commits, goldenCommit{
 			pc: ev.PC, target: ev.Target, destVal: ev.DestVal, memAddr: ev.MemAddr, storeVal: ev.StoreVal,
@@ -449,7 +468,7 @@ func (m *uarchModel) newLog(start uint64) *goldenLog {
 }
 
 // extendLog steps the recorder up to cycle end, logging every cycle and the
-// registers it touches. As at every golden point, a halt truncates the
+// access units it touches. As at every golden point, a halt truncates the
 // campaign and any other stop is an error.
 func (m *uarchModel) extendLog(end uint64) (bool, error) {
 	for m.rec.Cycles() < end {
@@ -470,8 +489,8 @@ func (m *uarchModel) extendLog(end uint64) (bool, error) {
 	return true, nil
 }
 
-// foldAccess adds the registers the recorder touched in cycle c to the mask
-// of every point whose window holds c, and clears them for the next cycle.
+// foldAccess adds the access units the recorder touched in cycle c to the
+// mask of every point whose window holds c, and clears them for the next cycle.
 // The recorder only moves forward, so the windows that hold c only move
 // forward too.
 func (m *uarchModel) foldAccess(c uint64) {
@@ -487,7 +506,7 @@ func (m *uarchModel) foldAccess(c uint64) {
 			m.touched[i][w] |= m.access[w]
 		}
 	}
-	m.access = pipeline.RegMask{}
+	m.access = pipeline.AccessMask{}
 }
 
 // view returns the golden continuation of the point at start: the commits and
@@ -531,13 +550,13 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 		out.Protected = true
 		return true
 	}
-	if tag, ok := m.master.PhysReg(pick.ref.Elem); ok && !m.cfg.noEarlyExit && !m.golden.touched.Has(tag) {
-		// The golden run never reads or writes this register in the window,
-		// and Cycle reaches a register's value only through the register
-		// file's read and write. So the faulty clone steps exactly as the
-		// golden run does, and the flipped word, which the golden run holds
-		// constant, keeps its state off every golden digest: simulation
-		// would run the window out and find the fault stuck.
+	if !m.cfg.noEarlyExit && m.untouched(pick.ref) {
+		// The golden run never reads or writes the units of the flipped bits
+		// in the window, and Cycle reaches a unit only through the methods
+		// that mark it. So the faulty clone steps exactly as the golden run
+		// does, and the flipped bits, which the golden run holds constant,
+		// keep its state off every golden digest: simulation would run the
+		// window out and find the fault stuck.
 		out.FaultStuck = true
 		m.resolved.Inc()
 		return true
@@ -551,6 +570,25 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 		pool.release(faulty)
 	})
 	return false
+}
+
+// untouched reports whether every bit a trial at ref flips lies in an access
+// unit the golden run leaves untouched in the point's window.
+func (m *uarchModel) untouched(ref pipeline.BitRef) bool {
+	for b := range burstLen(m.space, ref, m.cfg.BurstBits) {
+		u, ok := m.master.AccessUnit(pipeline.BitRef{Elem: ref.Elem, Bit: ref.Bit + uint8(b)})
+		if !ok || m.golden.touched.Has(u) {
+			return false
+		}
+	}
+	return true
+}
+
+// burstLen is how many adjacent bits a trial at ref flips: burst of them,
+// clipped at the element's width as a physical strike clips at the array
+// edge.
+func burstLen(space *pipeline.StateSpace, ref pipeline.BitRef, burst int) int {
+	return min(burst, int(space.Elements()[ref.Elem].Bits-ref.Bit))
 }
 
 func (t UArchTrial) outcome(window uint64) string {
@@ -595,10 +633,8 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, golden 
 	const hashEvery = 16
 
 	// Flip a run of adjacent bits within the element (single-bit unless
-	// the campaign models burst upsets). The run clips at the element's
-	// width, as a physical strike clips at the array edge.
-	width := f.State().Elements()[ref.Elem].Bits
-	for b := 0; b < burst && ref.Bit+uint8(b) < width; b++ {
+	// the campaign models burst upsets).
+	for b := range burstLen(f.State(), ref, burst) {
 		f.State().Flip(pipeline.BitRef{Elem: ref.Elem, Bit: ref.Bit + uint8(b)})
 	}
 	flippedBit := f.State().Peek(ref)

@@ -219,11 +219,7 @@ func (p *Pipeline) fillScheduler(slot int, robIdx uint64, inst isa.Inst, robFlag
 	// Reading the zero register never waits: it is physical register 31,
 	// which is permanently ready and zero.
 
-	p.sched.flags[slot] = f
-	p.sched.robIdx[slot] = robIdx
-	p.sched.src1[slot] = s1
-	p.sched.src2[slot] = s2
-	p.sched.src3[slot] = s3
+	p.sched.fill(slot, f, robIdx, s1, s2, s3)
 }
 
 // ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ func (p *Pipeline) CheckInvariants() error {
 		if p.sched.flags[i]&schValid == 0 {
 			continue
 		}
-		robIdx := p.sched.robIdx[i] % ROBSize
+		robIdx := p.sched.robOf(i) % ROBSize
 		if p.rob.pos(robIdx) >= p.rob.count {
 			return fmt.Errorf("scheduler slot %d references dead rob entry %d", i, robIdx)
 		}

@@ -258,20 +258,24 @@ func (p *Pipeline) CorruptArchReg(r isa.Reg, bit uint) {
 	p.prf.flipBit(p.archRAT.get(uint64(r)), bit)
 }
 
-// MarkRegAccess makes the register file add to *m every physical register
-// it reads or writes from now on; nil turns marking off. Every access counts;
-// execute reads only the sources an instruction has. Marking changes nothing
-// the machine computes, and Clone and ResetFrom leave it off.
-func (p *Pipeline) MarkRegAccess(m *RegMask) { p.prf.touched = m }
+// MarkAccess makes the pipeline add to *m every access unit it reads or
+// writes from now on; nil turns marking off. Every access counts; execute
+// reads only the sources an instruction has. Marking changes nothing the
+// machine computes, and Clone and ResetFrom leave it off.
+func (p *Pipeline) MarkAccess(m *AccessMask) {
+	p.prf.touched, p.exec.touched, p.sched.touched = m, m, m
+}
 
-// PhysReg returns the physical register whose value word is state element
-// elem; ok is false for every other element.
-func (p *Pipeline) PhysReg(elem int) (tag uint64, ok bool) {
-	i := elem - p.prf.first
-	if i < 0 || i >= PhysRegs {
-		return 0, false
+// AccessUnit returns the access unit that holds state bit ref; ok is false
+// for a bit outside every unit.
+func (p *Pipeline) AccessUnit(ref BitRef) (unit uint64, ok bool) {
+	if u, ok := p.prf.unit(ref); ok {
+		return u, true
 	}
-	return uint64(i), true
+	if u, ok := p.exec.unit(ref.Elem); ok {
+		return u, true
+	}
+	return p.sched.unit(ref.Elem)
 }
 
 // CommitPC returns the PC of the next instruction to retire (the precise
@@ -287,8 +291,8 @@ func (p *Pipeline) CommitPC() uint64 {
 // Fault-injection campaigns warm a pipeline to an injection point once and
 // fork a clone per trial. The copy starts as a struct copy, so every field is
 // carried by construction; it then gets empty components and its own packed
-// state backing, and ResetFrom re-images them from p. Hooks and
-// register-access marking are not copied.
+// state backing, and ResetFrom re-images them from p. Hooks and access
+// marking are not copied.
 func (p *Pipeline) Clone() *Pipeline {
 	n := new(Pipeline)
 	*n = *p
@@ -313,7 +317,7 @@ func (p *Pipeline) Clone() *Pipeline {
 // Clone of the same master); ResetFrom panics otherwise. The per-trial clone
 // pool in fault-injection campaigns depends on that to recycle one pipeline
 // across thousands of trials instead of allocating each from scratch. Hooks
-// and register-access marking are cleared, as in Clone.
+// and access marking are cleared, as in Clone.
 //
 // ResetFrom is the clone pool's re-image path, annotated hot: once the pool
 // reaches steady state (every clone shaped like the master) it must not
@@ -365,7 +369,7 @@ func (p *Pipeline) ResetFrom(src *Pipeline) {
 	p.BranchHook = nil
 	p.MissHook = nil
 	p.obsM = nil
-	p.prf.touched = nil
+	p.MarkAccess(nil)
 }
 
 // Step advances the machine by one clock. It is the campaign engine's trial

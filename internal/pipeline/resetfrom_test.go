@@ -59,29 +59,29 @@ func TestResetFromMatchesClone(t *testing.T) {
 	}
 }
 
-// Register-access marking belongs to the pipeline it was turned on for: a
-// Clone of a marking pipeline runs unmarked, and ResetFrom turns off the
-// marking a recycled fork had.
-func TestForksDoNotMarkRegAccess(t *testing.T) {
+// Access marking belongs to the pipeline it was turned on for: a Clone of a
+// marking pipeline runs unmarked, and ResetFrom turns off the marking a
+// recycled fork had.
+func TestForksDoNotMarkAccess(t *testing.T) {
 	master := newBenchPipeline(t, workload.Gzip, DefaultConfig())
 	master.RunCycles(2000)
-	var marked RegMask
-	master.MarkRegAccess(&marked)
+	var marked AccessMask
+	master.MarkAccess(&marked)
 
 	clone := master.Clone()
 	reset := newBenchPipeline(t, workload.Gzip, DefaultConfig())
-	var resetMarked RegMask
-	reset.MarkRegAccess(&resetMarked)
+	var resetMarked AccessMask
+	reset.MarkAccess(&resetMarked)
 	reset.ResetFrom(master)
 	clone.RunCycles(500)
 	reset.RunCycles(500)
-	if marked != (RegMask{}) || resetMarked != (RegMask{}) {
-		t.Fatalf("forks marked registers: clone %x, reset %x", marked, resetMarked)
+	if marked != (AccessMask{}) || resetMarked != (AccessMask{}) {
+		t.Fatalf("forks marked access units: clone %x, reset %x", marked, resetMarked)
 	}
 
 	master.RunCycles(500)
-	if marked == (RegMask{}) {
-		t.Fatal("the marking pipeline marked no register in 500 cycles")
+	if marked == (AccessMask{}) {
+		t.Fatal("the marking pipeline marked no access unit in 500 cycles")
 	}
 }
 

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math/bits"
+
 	"repro/internal/arch"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -16,14 +18,13 @@ func (p *Pipeline) doWriteback() {
 		if !p.exec.busy[i] || p.exec.doneAt[i] > p.cycle {
 			continue
 		}
-		p.exec.busy[i] = false
-		tag := p.exec.tag[i]
+		val, tag, robIdx := p.exec.drain(i)
 		if tag&execNoDest == 0 {
 			phys := tag % PhysRegs
-			p.prf.write(phys, p.exec.val[i])
+			p.prf.write(phys, val)
 			p.prf.setReady(phys, true)
 		}
-		robIdx := p.exec.rob[i] % ROBSize
+		robIdx %= ROBSize
 		if p.rob.flags[robIdx]&robValid != 0 {
 			p.rob.flags[robIdx] |= robCompleted
 		}
@@ -40,17 +41,11 @@ func (p *Pipeline) doIssue() {
 	// allocation every cycle, which dominated campaign allocation profiles
 	// (hundreds of thousands of objects per campaign).
 	p.issueCount = 0
-	for i := range p.sched.flags {
-		f := p.sched.flags[i]
-		if f&schValid == 0 {
-			continue
-		}
-		if !p.srcsReady(i) {
-			continue
-		}
+	for ready := p.sched.wakeup(&p.prf); ready != 0; ready &= ready - 1 {
+		i := bits.TrailingZeros64(ready)
 		p.issueScratch[p.issueCount] = issueCand{
 			slot: i,
-			pos:  p.rob.pos(p.sched.robIdx[i]),
+			pos:  p.rob.pos(p.sched.robOf(i)),
 		}
 		p.issueCount++
 	}
@@ -113,26 +108,12 @@ func (p *Pipeline) doIssue() {
 	}
 }
 
-func (p *Pipeline) srcsReady(slot int) bool {
-	f := p.sched.flags[slot]
-	if f&schSrc1 != 0 && !p.prf.isReady(p.sched.src1[slot]) {
-		return false
-	}
-	if f&schSrc2 != 0 && !p.prf.isReady(p.sched.src2[slot]) {
-		return false
-	}
-	if f&schSrc3 != 0 && !p.prf.isReady(p.sched.src3[slot]) {
-		return false
-	}
-	return true
-}
-
 // execute runs the operation in the given scheduler slot. It returns ok =
 // false when the op cannot issue this cycle (memory disambiguation), and
 // redirected = true when a branch misprediction flushed the pipeline.
 func (p *Pipeline) execute(slot int) (ok, redirected bool) {
 	f := p.sched.flags[slot]
-	robIdx := p.sched.robIdx[slot] % ROBSize
+	robIdx := p.sched.robOf(slot) % ROBSize
 	if p.rob.flags[robIdx]&robValid == 0 {
 		// Orphaned entry (corrupted state or stale after squash).
 		p.sched.flags[slot] = 0
@@ -146,19 +127,7 @@ func (p *Pipeline) execute(slot int) (ok, redirected bool) {
 	inst := unpackCtl(p.rob.ctl[robIdx])
 	pc := p.rob.pc[robIdx]
 
-	// Only the sources the instruction has are read, so register-access
-	// marking sees no read of a register it does not name; an absent one
-	// is 0.
-	var v1, v2, v3 uint64
-	if f&schSrc1 != 0 {
-		v1 = p.prf.read(p.sched.src1[slot])
-	}
-	if f&schSrc2 != 0 {
-		v2 = p.prf.read(p.sched.src2[slot])
-	}
-	if f&schSrc3 != 0 {
-		v3 = p.prf.read(p.sched.src3[slot])
-	}
+	v1, v2, v3 := p.sched.operands(slot, &p.prf)
 
 	switch {
 	case f&schIsLoad != 0:
@@ -540,15 +509,11 @@ func (p *Pipeline) scheduleWriteback(slot int, robIdx uint64, val uint64, latenc
 	if !free {
 		return // retry: scheduler entry stays valid
 	}
-	p.exec.busy[w] = true
-	p.exec.doneAt[w] = p.cycle + uint64(latency)
-	p.exec.val[w] = val
-	p.exec.rob[w] = robIdx
+	tag := uint64(execNoDest)
 	if p.rob.flags[robIdx]&robHasDest != 0 {
-		p.exec.tag[w] = p.rob.physDest[robIdx]
-	} else {
-		p.exec.tag[w] = execNoDest
+		tag = p.rob.physDest[robIdx]
 	}
+	p.exec.issue(w, p.cycle+uint64(latency), val, tag, robIdx)
 	p.sched.flags[slot] = 0
 }
 
@@ -656,12 +621,12 @@ func (p *Pipeline) squashToCount(newCount uint64) {
 		if p.sched.flags[i]&schValid == 0 {
 			continue
 		}
-		if p.rob.pos(p.sched.robIdx[i]) >= newCount {
+		if p.rob.pos(p.sched.robOf(i)) >= newCount {
 			p.sched.flags[i] = 0
 		}
 	}
 	for i := range p.exec.busy {
-		if p.exec.busy[i] && p.rob.pos(p.exec.rob[i]) >= newCount {
+		if p.exec.busy[i] && p.rob.pos(p.exec.robOf(i)) >= newCount {
 			p.exec.busy[i] = false
 		}
 	}

@@ -200,16 +200,24 @@ const (
 // physical-register tags; readiness is checked against the register file's
 // ready bits every cycle (the wakeup CAM).
 //
-//restorelint:writers fillScheduler execute executeALU executeLoad executeStore executeBranch scheduleWriteback squashToCount
+//restorelint:writers execute executeALU executeLoad executeStore executeBranch scheduleWriteback squashToCount
 type scheduler struct {
-	flags  []uint64
-	robIdx []uint64
-	src1   []uint64
-	src2   []uint64
-	src3   []uint64 // previous dest mapping, for conditional moves
+	flags []uint64
+	// A slot's operand fields — its ROB entry and source tags, src3 being
+	// the previous dest mapping for conditional moves — are one access unit,
+	// reached only through fill, wakeup, robOf and operands, so that marking
+	// sees every access to them.
+	robIdx []uint64 //restorelint:private
+	src1   []uint64 //restorelint:private
+	src2   []uint64 //restorelint:private
+	src3   []uint64 //restorelint:private
+
+	touched *AccessMask // see regFile.touched
+	first   int         // element index of sched.flags[0] in the StateSpace
 }
 
 func (sc *scheduler) register(s *StateSpace) {
+	sc.first = len(s.elems)
 	flags := s.BindArray(&sc.flags, SchedSize)
 	robIdx := s.BindArray(&sc.robIdx, SchedSize)
 	src1 := s.BindArray(&sc.src1, SchedSize)
@@ -239,6 +247,68 @@ func (sc *scheduler) alloc() (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// fill writes slot i's entry.
+func (sc *scheduler) fill(i int, flags, robIdx, s1, s2, s3 uint64) {
+	sc.touched.mark(unitSched + uint64(i))
+	sc.flags[i] = flags
+	sc.robIdx[i], sc.src1[i], sc.src2[i], sc.src3[i] = robIdx, s1, s2, s3
+}
+
+// robOf returns the ROB entry of slot i.
+func (sc *scheduler) robOf(i int) uint64 {
+	sc.touched.mark(unitSched + uint64(i))
+	return sc.robIdx[i]
+}
+
+// wakeup returns the valid slots whose sources are all ready, one bit per
+// slot: the wakeup CAM over the whole window. It reads only the sources
+// each slot's flags mark present, and marks every valid slot at once.
+func (sc *scheduler) wakeup(prf *regFile) (ready uint64) {
+	var valid uint64
+	for i, f := range sc.flags {
+		if f&schValid == 0 {
+			continue
+		}
+		valid |= 1 << i
+		if (f&schSrc1 == 0 || prf.isReady(sc.src1[i])) &&
+			(f&schSrc2 == 0 || prf.isReady(sc.src2[i])) &&
+			(f&schSrc3 == 0 || prf.isReady(sc.src3[i])) {
+			ready |= 1 << i
+		}
+	}
+	sc.touched.markSet(unitSched, valid)
+	return ready
+}
+
+// operands reads the values of the sources slot i has. Only those are read,
+// so access marking sees no read of a register the instruction does not
+// name; an absent source is 0.
+func (sc *scheduler) operands(i int, prf *regFile) (v1, v2, v3 uint64) {
+	sc.touched.mark(unitSched + uint64(i))
+	f := sc.flags[i]
+	if f&schSrc1 != 0 {
+		v1 = prf.read(sc.src1[i])
+	}
+	if f&schSrc2 != 0 {
+		v2 = prf.read(sc.src2[i])
+	}
+	if f&schSrc3 != 0 {
+		v3 = prf.read(sc.src3[i])
+	}
+	return v1, v2, v3
+}
+
+// unit returns the access unit of state element elem: the slot, for its ROB
+// entry and source tags. register adds each slot's five words in turn, flags
+// first.
+func (sc *scheduler) unit(elem int) (uint64, bool) {
+	i := elem - sc.first
+	if i < 0 || i >= 5*SchedSize || i%5 == 0 {
+		return 0, false
+	}
+	return unitSched + uint64(i/5), true
 }
 
 // STQ flag bits.
@@ -365,27 +435,60 @@ func (q *loadQueue) alloc() (uint64, bool) {
 	return idx, true
 }
 
-// RegMask is a set of physical registers, one bit per register.
-type RegMask [PhysRegs / 64]uint64
+// Access units are the pieces of state the pipeline marks every access to
+// while marking is on (Pipeline.MarkAccess): a physical register's value, a
+// physical register's ready bit, an execution-window slot (its value,
+// destination tag and ROB entry) and a scheduler slot's operand fields (its
+// ROB entry and three source tags). Pipeline.AccessUnit maps a state bit to
+// its unit.
+const (
+	unitRegVal   = 0
+	unitRegReady = unitRegVal + PhysRegs
+	unitExec     = unitRegReady + PhysRegs
+	unitSched    = unitExec + execSlots
+	// AccessUnits is the number of access units.
+	AccessUnits = unitSched + SchedSize
+)
 
-// Has reports whether physical register tag is in the set.
-func (m *RegMask) Has(tag uint64) bool {
-	tag %= PhysRegs
-	return m[tag/64]&(1<<(tag%64)) != 0
+// AccessMask is a set of access units, one bit per unit.
+type AccessMask [(AccessUnits + 63) / 64]uint64
+
+// Has reports whether unit u is in the set.
+func (m *AccessMask) Has(u uint64) bool {
+	return m[u/64]&(1<<(u%64)) != 0
 }
+
+// mark adds unit u to the set; on a nil set (marking off) it does nothing.
+func (m *AccessMask) mark(u uint64) {
+	if m != nil {
+		m[u/64] |= 1 << (u % 64)
+	}
+}
+
+// markSet adds unit first+i for every bit i of set, all of them in the word
+// that holds first; on a nil set it does nothing.
+func (m *AccessMask) markSet(first, set uint64) {
+	if m != nil {
+		m[first/64] |= set << (first % 64)
+	}
+}
+
+// The scheduler's units lie in one word of an AccessMask, for markSet.
+const _ = uint(64 - unitSched%64 - SchedSize)
 
 // regFile is the merged physical register file (Figure 3's "Register File"
 // SRAM) plus its ready scoreboard.
 type regFile struct {
-	// val is reached only through read, write and flipBit, so that marking
-	// sees every access the machine makes to a register's value.
+	// val is reached only through read, write and flipBit, and ready only
+	// through isReady and setReady, so that marking sees every access the
+	// machine makes to a register's value or ready bit.
 	val   []uint64 //restorelint:private
-	ready []uint64
+	ready []uint64 //restorelint:private
 
-	// touched, when non-nil, collects every register read or written
-	// (Pipeline.MarkRegAccess). It is not machine state: Clone and
-	// ResetFrom leave it nil.
-	touched *RegMask
+	// touched, when non-nil, collects every access unit used
+	// (Pipeline.MarkAccess). It is not machine state: Clone and ResetFrom
+	// leave it nil.
+	touched *AccessMask
 	first   int // element index of prf.val[0] in the StateSpace
 }
 
@@ -403,11 +506,13 @@ func (f *regFile) register(s *StateSpace) {
 
 func (f *regFile) isReady(tag uint64) bool {
 	tag %= PhysRegs
+	f.touched.mark(unitRegReady + tag)
 	return f.ready[tag/64]&(1<<(tag%64)) != 0
 }
 
 func (f *regFile) setReady(tag uint64, rdy bool) {
 	tag %= PhysRegs
+	f.touched.mark(unitRegReady + tag)
 	if rdy {
 		f.ready[tag/64] |= 1 << (tag % 64)
 	} else {
@@ -417,27 +522,33 @@ func (f *regFile) setReady(tag uint64, rdy bool) {
 
 func (f *regFile) read(tag uint64) uint64 {
 	tag %= PhysRegs
-	f.touch(tag)
+	f.touched.mark(unitRegVal + tag)
 	return f.val[tag]
 }
 
 func (f *regFile) write(tag, v uint64) {
 	tag %= PhysRegs
-	f.touch(tag)
+	f.touched.mark(unitRegVal + tag)
 	f.val[tag] = v
-}
-
-// touch marks a register access while marking is on.
-func (f *regFile) touch(tag uint64) {
-	if f.touched != nil {
-		f.touched[tag/64] |= 1 << (tag % 64)
-	}
 }
 
 // flipBit inverts one bit of a physical register — the fault-model entry
 // point for directed corruption.
 func (f *regFile) flipBit(tag uint64, bit uint) {
 	f.val[tag%PhysRegs] ^= 1 << (bit % 64)
+}
+
+// unit returns the access unit of bit ref of the register file: a value word
+// is one unit, and each bit of a ready word is the unit of its register's
+// ready bit. register adds the value words first, then the ready words.
+func (f *regFile) unit(ref BitRef) (uint64, bool) {
+	switch i := ref.Elem - f.first; {
+	case i >= 0 && i < PhysRegs:
+		return unitRegVal + uint64(i), true
+	case i >= PhysRegs && i < PhysRegs+PhysRegs/64:
+		return unitRegReady + uint64(i-PhysRegs)*64 + uint64(ref.Bit), true
+	}
+	return 0, false
 }
 
 // aliasTable maps architectural to physical registers (the Spec/Arch RATs
@@ -498,19 +609,25 @@ func (f *freeList) free(tag uint64) {
 // destination tags are real latches and injectable.
 const execSlots = 16
 
-//restorelint:writers scheduleWriteback
 type execWindow struct {
-	val []uint64
-	tag []uint64 // physical destination; bit 7 set = no destination
-	rob []uint64
+	// A slot's value, destination tag (bit 7 set = no destination) and ROB
+	// entry are one access unit, reached only through issue, drain and
+	// robOf, so that marking sees every access to them.
+	val []uint64 //restorelint:private
+	tag []uint64 //restorelint:private
+	rob []uint64 //restorelint:private
 
 	busy   [execSlots]bool   // not injectable: scheduling metadata
 	doneAt [execSlots]uint64 //restorelint:ignore stateregister — completion timing, scheduling metadata
+
+	touched *AccessMask // see regFile.touched
+	first   int         // element index of exec.val[0] in the StateSpace
 }
 
 const execNoDest = 1 << 7
 
 func (e *execWindow) register(s *StateSpace) {
+	e.first = len(s.elems)
 	val := s.BindArray(&e.val, execSlots)
 	tag := s.BindArray(&e.tag, execSlots)
 	rob := s.BindArray(&e.rob, execSlots)
@@ -536,6 +653,36 @@ func (e *execWindow) alloc() (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// issue places a result in slot i, due for writeback at cycle done.
+func (e *execWindow) issue(i int, done, val, tag, rob uint64) {
+	e.touched.mark(unitExec + uint64(i))
+	e.busy[i], e.doneAt[i] = true, done
+	e.val[i], e.tag[i], e.rob[i] = val, tag, rob
+}
+
+// drain frees slot i and returns its result for writeback.
+func (e *execWindow) drain(i int) (val, tag, rob uint64) {
+	e.touched.mark(unitExec + uint64(i))
+	e.busy[i] = false
+	return e.val[i], e.tag[i], e.rob[i]
+}
+
+// robOf returns the ROB entry of slot i's result.
+func (e *execWindow) robOf(i int) uint64 {
+	e.touched.mark(unitExec + uint64(i))
+	return e.rob[i]
+}
+
+// unit returns the access unit of state element elem: the slot, for its
+// value, tag and ROB entry. register adds each slot's three words in turn.
+func (e *execWindow) unit(elem int) (uint64, bool) {
+	i := elem - e.first
+	if i < 0 || i >= 3*execSlots {
+		return 0, false
+	}
+	return unitExec + uint64(i/3), true
 }
 
 // ---------------------------------------------------------------------------

@@ -109,22 +109,28 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads the one job spec a submission body holds. Unknown fields
+// are errors, and so is anything after the spec: a second spec would
+// otherwise be silently dropped.
+func decodeSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	if err == nil {
-		// One spec per body: a second spec (or any other trailing data)
-		// would otherwise be silently dropped.
-		switch _, tail := dec.Token(); tail {
-		case io.EOF:
-		case nil:
-			err = errors.New("unexpected data after the job spec")
-		default:
-			err = tail
-		}
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
 	}
+	switch _, tail := dec.Token(); tail {
+	case io.EOF:
+		return spec, nil
+	case nil:
+		return spec, errors.New("unexpected data after the job spec")
+	default:
+		return spec, tail
+	}
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooLarge.Limit))

@@ -32,11 +32,12 @@ import (
 //
 // A field marked `//restorelint:private` is stricter: any use of it at all,
 // read or write, is allowed only in a method of the struct that declares it,
-// and writer directives do not extend that. The register file's value array
-// is private so that every access goes through the accessors that mark it:
-// the µarch campaign resolves a trial without simulating it when the golden
-// run never touches the flipped register, and an unmarked read would make
-// that wrong.
+// and writer directives do not extend that. The fields of the pipeline's
+// access units (register values and ready bits, execution-window slots,
+// scheduler operand fields) are private so that every access goes through
+// the accessors that mark it: the µarch campaign resolves a trial without
+// simulating it when the golden run never touches the flipped unit, and an
+// unmarked access would make that wrong.
 var StateMut = &lint.Analyzer{
 	Name: "statemut",
 	Doc:  "flags writes to StateSpace-registered fields outside the owning struct or its declared writers, and any use of a private field outside its struct's methods",
