@@ -9,22 +9,29 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestStaticPathGolden pins the stdout of the static path: analyze (the
+// TestStaticPathGolden pins the stdout of the static path — analyze (the
 // staticvuln analysis) and protect (analysis, pipeline residency profile,
-// ranking and budgeted placement) on one small program. Both are
-// deterministic functions of the seed and scale, so any diff is either a
-// deliberate change (rerun with -update) or a regression in the analysis,
-// the pipeline or the ranking.
+// ranking and budgeted placement) — and of `all`, which runs every paper
+// figure and table in order on tiny campaigns. Each is a deterministic
+// function of its flags, so any diff is either a deliberate change (rerun
+// with -update) or a regression in the analysis, the pipeline, the
+// campaigns or the ranking.
 func TestStaticPathGolden(t *testing.T) {
-	for _, exp := range []string{"analyze", "protect"} {
-		t.Run(exp, func(t *testing.T) {
-			got, err := captureStdout(t, func() error {
-				return run([]string{"-seed", "7", "-scale", "0.25", "-bench", "gzip", exp})
-			})
+	static := []string{"-seed", "7", "-scale", "0.25", "-bench", "gzip"}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"analyze", append(static, "analyze")},
+		{"protect", append(static, "protect")},
+		{"all", []string{"-trials", "0.05", "-scale", "0.5", "-bench", "gzip", "all"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := captureStdout(t, func() error { return run(tc.args) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", exp+".golden")
+			path := filepath.Join("testdata", tc.name+".golden")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -35,7 +42,7 @@ func TestStaticPathGolden(t *testing.T) {
 				t.Fatalf("read golden (run with -update to create): %v", err)
 			}
 			if got != string(want) {
-				t.Errorf("%s output diverged from %s.\n--- got ---\n%s\n--- want ---\n%s", exp, path, got, want)
+				t.Errorf("%s output diverged from %s.\n--- got ---\n%s\n--- want ---\n%s", tc.name, path, got, want)
 			}
 		})
 	}
