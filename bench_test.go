@@ -16,7 +16,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
-	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/workload"
 )
@@ -100,9 +99,7 @@ func BenchmarkFig5(b *testing.B) {
 // (paper: ~1% failures remain under lhf+ReStore).
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		exp, err := experiments.Campaign(benchOpts(), experiments.CampaignConfig{
-			Policy: protect.LowHangingFruit(),
-		})
+		exp, err := experiments.Campaign(benchOpts(), experiments.CampaignConfig{Hardened: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +128,7 @@ func BenchmarkFig8(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hardened, err := experiments.Campaign(opts, experiments.CampaignConfig{Policy: protect.LowHangingFruit()})
+	hardened, err := experiments.Campaign(opts, experiments.CampaignConfig{Hardened: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -11,11 +11,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestStaticPathGolden pins the stdout of the static path — analyze (the
 // staticvuln analysis) and protect (analysis, pipeline residency profile,
-// ranking and budgeted placement) — and of `all`, which runs every paper
-// figure and table in order on tiny campaigns. Each is a deterministic
-// function of its flags, so any diff is either a deliberate change (rerun
-// with -update) or a regression in the analysis, the pipeline, the
-// campaigns or the ranking.
+// ranking and budgeted placement) — of `all`, which runs every paper figure
+// and table in order on tiny campaigns, and of trace on a small fixed
+// program (commit trace, stop banner and statistics block). Each is a
+// deterministic function of its flags, so any diff is either a deliberate
+// change (rerun with -update) or a regression in the analysis, the pipeline,
+// the campaigns or the ranking.
 func TestStaticPathGolden(t *testing.T) {
 	static := []string{"-seed", "7", "-scale", "0.25", "-bench", "gzip"}
 	for _, tc := range []struct {
@@ -25,6 +26,7 @@ func TestStaticPathGolden(t *testing.T) {
 		{"analyze", append(static, "analyze")},
 		{"protect", append(static, "protect")},
 		{"all", []string{"-trials", "0.05", "-scale", "0.5", "-bench", "gzip", "all"}},
+		{"countdown", []string{"-n", "30", "trace", filepath.Join("testdata", "countdown.s")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := captureStdout(t, func() error { return run(tc.args) })

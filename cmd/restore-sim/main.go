@@ -4,6 +4,10 @@
 // Usage:
 //
 //	restore-sim [flags] <experiment>
+//	restore-sim [flags] <tool> [operands]
+//
+// Flags may come before or after the experiment or tool name. Running
+// restore-sim with no arguments prints every tool's synopsis and the flags.
 //
 // Experiments:
 //
@@ -64,6 +68,10 @@
 // a killed daemon restarted on the same root resumes its jobs from their
 // shard journals, and every merged result is byte-identical to a one-shot
 // run of the same plan.
+//
+// `restore-sim trace <bench|file.s>` runs one benchmark or assembly file on
+// the pipeline model and prints its commit trace and run statistics; -n,
+// -skip, -corrupt and -stats-only shape the trace.
 package main
 
 import (
@@ -75,6 +83,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,7 +97,6 @@ import (
 	"repro/internal/inject"
 	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/staticvuln"
 	"repro/internal/stats"
@@ -102,148 +110,191 @@ func main() {
 	}
 }
 
+// cli holds one invocation's parsed flags and the operands after its
+// command name.
 type cli struct {
 	opts     experiments.Options
+	operands []string
 	csv      bool
 	interval uint64
 	perBench bool
 	budget   uint64
 	budgets  string
 
+	// The campaign service daemon and its clients.
+	root      string
+	addr      string
+	maxShards int
+	shards    int
+	wait      bool
+
+	// trace.
+	n, skip   uint64
+	corrupt   string
+	statsOnly bool
+
 	// campaigns and Figure 7 are deterministic for fixed options, so `all`
 	// shares one campaign across the figures that reclassify the same
 	// trials, and one Figure 7 across the steps that read its inputs.
-	campaignCache map[campaignKey]*experiments.UArchExperiment
+	campaignCache map[experiments.CampaignConfig]*experiments.UArchExperiment
 	fig7Result    *experiments.Fig7Result
 }
 
-type campaignKey struct {
-	latchesOnly bool
-	hardened    bool
+// A command is one restore-sim verb: an experiment, which prints figures or
+// tables of the paper's evaluation, or a tool. args is the operand synopsis:
+// "" for none, a trailing "..." for one or more of the last operand. all
+// marks the experiments that `all` runs.
+type command struct {
+	name string
+	tool bool
+	args string
+	all  bool
+	run  func(*cli) error
+}
+
+// commands lists every verb, experiments first; `all` runs the experiments
+// it marks in this order.
+func commands() []command {
+	plain, hardened := experiments.CampaignConfig{}, experiments.CampaignConfig{Hardened: true}
+	return []command{
+		{"fig2", false, "", true, func(c *cli) error { return c.fig2(false) }},
+		{"fig2-low32", false, "", true, func(c *cli) error { return c.fig2(true) }},
+		{"fig4", false, "", true, uarchFigure(plain, inject.DetectorPerfect,
+			"Figure 4: soft error propagation vs checkpoint interval (perfect cfv detection)")},
+		{"fig4-latches", false, "", true, uarchFigure(experiments.CampaignConfig{LatchesOnly: true}, inject.DetectorPerfect,
+			"Section 5.1.2: latch-only injection vs checkpoint interval (perfect cfv detection)")},
+		{"fig5", false, "", true, uarchFigure(plain, inject.DetectorJRS,
+			"Figure 5: ReStore coverage with JRS confidence vs checkpoint interval")},
+		{"fig5-perfect", false, "", true, uarchFigure(plain, inject.DetectorOracleConfidence,
+			"Section 5.2.1 ablation: perfect confidence predictor")},
+		{"fig6", false, "", true, uarchFigure(hardened, inject.DetectorJRS,
+			"Figure 6: ReStore coverage in the hardened (parity/ECC) pipeline")},
+		{"fig7", false, "", true, (*cli).fig7},
+		{"fig8", false, "", true, (*cli).fig8},
+		{"summary", false, "", true, (*cli).summary},
+		{"compare", false, "", true, (*cli).compare},
+		{"ablate-jrs", false, "", false, (*cli).ablateJRS},
+		{"ablate-ckpt", false, "", false, (*cli).ablateCheckpoints},
+		{"vulnerability", false, "", false, (*cli).vulnerability},
+		{"analyze", false, "", true, (*cli).analyze},
+		{"protect", false, "", true, (*cli).protectPolicies},
+		{"protect-compare", false, "", true, (*cli).protectCompare},
+		{"budget-sweep", false, "", true, (*cli).budgetSweep},
+		{"demo", false, "", false, (*cli).demo},
+		{"all", false, "", false, (*cli).all},
+		{"merge", true, "<shard-dir>...", false, (*cli).merge},
+		{"ckpt", true, "inspect <image>", false, (*cli).ckpt},
+		{"serve", true, "", false, (*cli).serve},
+		{"submit", true, "<experiment>", false, (*cli).submit},
+		{"status", true, "<job-id>", false, (*cli).status},
+		{"cancel", true, "<job-id>", false, (*cli).cancel},
+		{"jobs", true, "", false, (*cli).jobs},
+		{"trace", true, "<bench|file.s>", false, (*cli).trace},
+	}
+}
+
+func (cmd command) synopsis() string { return strings.TrimSpace(cmd.name + " " + cmd.args) }
+
+// takes reports whether n operands fit the command's synopsis.
+func (cmd command) takes(n int) bool {
+	want := len(strings.Fields(cmd.args))
+	return n == want || strings.HasSuffix(cmd.args, "...") && n > want
+}
+
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintln(w, "usage: restore-sim [flags] <experiment>")
+	var exps []string
+	for _, cmd := range commands() {
+		if cmd.tool {
+			fmt.Fprintf(w, "       restore-sim [flags] %s\n", cmd.synopsis())
+		} else {
+			exps = append(exps, cmd.name)
+		}
+	}
+	fmt.Fprintf(w, "\nexperiments: %s\n\n", strings.Join(exps, " "))
+	fs.PrintDefaults()
 }
 
 func run(args []string) error {
+	c := &cli{}
 	fs := flag.NewFlagSet("restore-sim", flag.ContinueOnError)
-	var (
-		seed      = fs.Int64("seed", 42, "campaign seed")
-		scale     = fs.Float64("scale", 1.0, "workload data-structure scale")
-		trials    = fs.Float64("trials", 0.25, "campaign size factor (1.0 = paper scale)")
-		benches   = fs.String("bench", "", "comma-separated benchmark subset (default: all seven)")
-		csv       = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		interval  = fs.Uint64("interval", 100, "checkpoint interval for summary metrics")
-		perBench  = fs.Bool("perbench", false, "append per-benchmark breakdowns")
-		workers   = fs.Int("workers", 0, "goroutines per campaign (0 = serial, -1 = all CPUs); results are identical either way")
-		progress  = fs.Bool("progress", false, "print a live trial counter with ETA to stderr")
-		metrics   = fs.String("metrics", "", "write campaign/pipeline telemetry to this file after the run (.json, .csv, else Prometheus text); results are identical either way")
-		pprof     = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
-		out       = fs.String("out", "", "campaign directory: journal completed trials under this directory and resume from it on rerun; results are identical either way")
-		shard     = fs.String("shard", "", "run shard k/n of every campaign (1-based, e.g. 1/4); requires -out, combine shard directories with the merge subcommand")
-		stopAfter = fs.Int("stop-after", 0, "interrupt the run after this many trial completions (deterministic stand-in for ctrl-C; mainly for tests and CI)")
-		golden    = fs.String("golden-image", "", "golden-image directory: the first microarchitectural campaign of each warm-up saves the warmed-up pipeline under this directory, later campaigns, reruns and shards with that warm-up restore it instead of re-simulating the warm-up (software-level campaigns keep no image); results are identical either way")
-		budget    = fs.Uint64("budget", 0, "check-bit budget for the protect subcommand (0 = the hand-picked placement's overhead)")
-		budgets   = fs.String("budgets", "", "comma-separated check-bit budgets for budget-sweep (default 0,416,832,1664,3328,6656)")
-		sroot     = fs.String("root", "", "campaign service root directory (the serve daemon and its submit/status/cancel/jobs clients)")
-		addr      = fs.String("addr", "", "serve: listen address (default 127.0.0.1:0); clients: daemon address (default: discover via <root>/serve.addr)")
-		maxShards = fs.Int("max-shards", 2, "serve: shard simulations run concurrently across all jobs")
-		shards    = fs.Int("shards", 1, "submit: split every campaign into this many shard journals, merged when the job completes")
-		wait      = fs.Bool("wait", false, "submit/status: follow the job until it finishes")
-	)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: restore-sim [flags] <experiment>\n")
-		fmt.Fprintf(fs.Output(), "       restore-sim merge -out <merged-dir> <shard-dir>...\n")
-		fmt.Fprintf(fs.Output(), "       restore-sim ckpt inspect <image>\n")
-		fmt.Fprintf(fs.Output(), "       restore-sim -root <dir> serve\n")
-		fmt.Fprintf(fs.Output(), "       restore-sim -root <dir> [flags] submit <experiment>\n")
-		fmt.Fprintf(fs.Output(), "       restore-sim -root <dir> {status|cancel} <job-id> | jobs\n\n")
-		fmt.Fprintf(fs.Output(), "experiments: fig2 fig2-low32 fig4 fig4-latches fig5 fig5-perfect fig6 fig7 fig8 summary compare ablate-jrs ablate-ckpt vulnerability analyze protect protect-compare budget-sweep demo all\n\n")
-		fs.PrintDefaults()
-	}
+	fs.Int64Var(&c.opts.Seed, "seed", 42, "campaign and workload seed")
+	fs.Float64Var(&c.opts.Scale, "scale", 1.0, "workload data-structure scale")
+	fs.Float64Var(&c.opts.TrialFactor, "trials", 0.25, "campaign size factor (1.0 = paper scale)")
+	benches := fs.String("bench", "", "comma-separated benchmark subset (default: all seven)")
+	fs.BoolVar(&c.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.Uint64Var(&c.interval, "interval", 100, "checkpoint interval for summary metrics")
+	fs.BoolVar(&c.perBench, "perbench", false, "append per-benchmark breakdowns")
+	fs.IntVar(&c.opts.Workers, "workers", 0, "goroutines per campaign (0 = serial, -1 = all CPUs); results are identical either way")
+	progress := fs.Bool("progress", false, "print a live trial counter with ETA to stderr")
+	metrics := fs.String("metrics", "", "write campaign/pipeline telemetry to this file after the run (.json, .csv, else Prometheus text); results are identical either way")
+	pprof := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
+	fs.StringVar(&c.opts.CampaignRoot, "out", "", "campaign directory: journal completed trials under this directory and resume from it on rerun; results are identical either way")
+	shard := fs.String("shard", "", "run shard k/n of every campaign (1-based, e.g. 1/4); requires -out, combine shard directories with the merge subcommand")
+	stopAfter := fs.Int("stop-after", 0, "interrupt the run after this many trial completions (deterministic stand-in for ctrl-C; mainly for tests and CI)")
+	fs.StringVar(&c.opts.GoldenImageRoot, "golden-image", "", "golden-image directory: the first microarchitectural campaign of each warm-up saves the warmed-up pipeline under this directory, later campaigns, reruns and shards with that warm-up restore it instead of re-simulating the warm-up (software-level campaigns keep no image); results are identical either way")
+	fs.Uint64Var(&c.budget, "budget", 0, "check-bit budget for the protect subcommand (0 = the hand-picked placement's overhead)")
+	fs.StringVar(&c.budgets, "budgets", "", "comma-separated check-bit budgets for budget-sweep (default 0,416,832,1664,3328,6656)")
+	fs.StringVar(&c.root, "root", "", "campaign service root directory (the serve daemon and its submit/status/cancel/jobs clients)")
+	fs.StringVar(&c.addr, "addr", "", "serve: listen address (default 127.0.0.1:0); clients: daemon address (default: discover via <root>/serve.addr)")
+	fs.IntVar(&c.maxShards, "max-shards", 2, "serve: shard simulations run concurrently across all jobs")
+	fs.IntVar(&c.shards, "shards", 1, "submit: split every campaign into this many shard journals, merged when the job completes")
+	fs.BoolVar(&c.wait, "wait", false, "submit/status: follow the job until it finishes")
+	fs.Uint64Var(&c.n, "n", 50, "trace: instructions to trace")
+	fs.Uint64Var(&c.skip, "skip", 0, "trace: instructions to run before tracing")
+	fs.StringVar(&c.corrupt, "corrupt", "", "trace: flip a bit before tracing, e.g. r10:45")
+	fs.BoolVar(&c.statsOnly, "stats-only", false, "trace: suppress the trace; print statistics only")
+	fs.Usage = func() { usage(fs) }
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.Arg(0) == "ckpt" {
-		if fs.NArg() != 3 || fs.Arg(1) != "inspect" {
-			return fmt.Errorf("usage: restore-sim ckpt inspect <image>")
-		}
-		return inspectImage(fs.Arg(2))
-	}
-	if fs.Arg(0) == "merge" {
-		// Parsing stopped at the word merge; -out may also follow it.
-		if err := fs.Parse(fs.Args()[1:]); err != nil {
-			return err
-		}
-		if *out == "" {
-			return fmt.Errorf("merge requires -out <merged-dir>")
-		}
-		if fs.NArg() < 1 {
-			return fmt.Errorf("usage: restore-sim merge -out <merged-dir> <shard-dir>...")
-		}
-		return mergeRoots(*out, fs.Args())
-	}
-	switch fs.Arg(0) {
-	case "serve":
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: restore-sim -root <dir> [-addr host:port] [-max-shards n] serve")
-		}
-		return runServe(*sroot, *addr, *maxShards, *workers)
-	case "submit":
-		if fs.NArg() != 2 {
-			return fmt.Errorf("usage: restore-sim -root <dir> [flags] submit <experiment>")
-		}
-		return runSubmit(*sroot, *addr, fs.Arg(1), *benches, *seed, *scale, *trials,
-			*shards, *workers, *wait)
-	case "status":
-		if fs.NArg() != 2 {
-			return fmt.Errorf("usage: restore-sim -root <dir> [-wait] status <job-id>")
-		}
-		return runStatus(*sroot, *addr, fs.Arg(1), *wait)
-	case "cancel":
-		if fs.NArg() != 2 {
-			return fmt.Errorf("usage: restore-sim -root <dir> cancel <job-id>")
-		}
-		return runCancel(*sroot, *addr, fs.Arg(1))
-	case "jobs":
-		if fs.NArg() != 1 {
-			return fmt.Errorf("usage: restore-sim -root <dir> jobs")
-		}
-		return runJobs(*sroot, *addr)
-	}
-	if fs.NArg() != 1 {
+	if fs.NArg() == 0 {
 		fs.Usage()
-		return fmt.Errorf("exactly one experiment required")
+		return errors.New("missing experiment")
 	}
-	shardIndex, shardCount := 0, 0
+	table := commands()
+	i := slices.IndexFunc(table, func(cmd command) bool { return cmd.name == fs.Arg(0) })
+	if i < 0 {
+		fs.Usage()
+		return fmt.Errorf("unknown experiment %q", fs.Arg(0))
+	}
+	cmd := table[i]
+	// Flags may also follow the command name.
+	if err := fs.Parse(fs.Args()[1:]); err != nil {
+		return err
+	}
+	c.operands = fs.Args()
+	if !cmd.takes(len(c.operands)) {
+		return fmt.Errorf("usage: restore-sim [flags] %s", cmd.synopsis())
+	}
+	if c.opts.TrialFactor < 0 {
+		return fmt.Errorf("invalid -trials %g (want >= 0)", c.opts.TrialFactor)
+	}
+	if c.opts.Scale < 0 {
+		return fmt.Errorf("invalid -scale %g (want >= 0)", c.opts.Scale)
+	}
+	if c.opts.Workers < 0 {
+		c.opts.Workers = runtime.NumCPU()
+	}
+	if *benches != "" {
+		for _, name := range strings.Split(*benches, ",") {
+			c.opts.Benchmarks = append(c.opts.Benchmarks, workload.Benchmark(strings.TrimSpace(name)))
+		}
+	}
+	if cmd.tool {
+		return cmd.run(c)
+	}
 	if *shard != "" {
 		var k, n int
 		if _, err := fmt.Sscanf(*shard, "%d/%d", &k, &n); err != nil ||
 			fmt.Sprintf("%d/%d", k, n) != *shard || k < 1 || k > n {
 			return fmt.Errorf("invalid -shard %q (want k/n with 1 <= k <= n)", *shard)
 		}
-		if *out == "" {
+		if c.opts.CampaignRoot == "" {
 			return fmt.Errorf("-shard requires -out: shards journal their trials into the campaign directory")
 		}
-		shardIndex, shardCount = k-1, n
-	}
-
-	if *workers < 0 {
-		*workers = runtime.NumCPU()
-	}
-	c := &cli{
-		opts: experiments.Options{
-			Seed:            *seed,
-			Scale:           *scale,
-			TrialFactor:     *trials,
-			Workers:         *workers,
-			CampaignRoot:    *out,
-			ShardIndex:      shardIndex,
-			ShardCount:      shardCount,
-			GoldenImageRoot: *golden,
-		},
-		csv:      *csv,
-		interval: *interval,
-		perBench: *perBench,
-		budget:   *budget,
-		budgets:  *budgets,
+		c.opts.ShardIndex, c.opts.ShardCount = k-1, n
 	}
 	if *progress {
 		c.opts.Progress = (&progressMeter{}).tick
@@ -253,13 +304,14 @@ func run(args []string) error {
 	// run is durable there is something worth flushing) and the
 	// deterministic -stop-after trial counter. Campaigns drain in-flight
 	// trials, flush their journal and return inject.ErrInterrupted.
+	out := c.opts.CampaignRoot
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	stopCampaigns := func() { stopOnce.Do(func() { close(stop) }) }
-	if *out != "" || *stopAfter > 0 {
+	if out != "" || *stopAfter > 0 {
 		c.opts.Interrupt = stop
 	}
-	if *out != "" {
+	if out != "" {
 		sigc := make(chan os.Signal, 2)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 		defer signal.Stop(sigc)
@@ -278,11 +330,6 @@ func run(args []string) error {
 			}
 		}
 	}
-	if *benches != "" {
-		for _, name := range strings.Split(*benches, ",") {
-			c.opts.Benchmarks = append(c.opts.Benchmarks, workload.Benchmark(strings.TrimSpace(name)))
-		}
-	}
 	if *pprof != "" {
 		go func() {
 			// DefaultServeMux carries the net/http/pprof handlers.
@@ -298,18 +345,22 @@ func run(args []string) error {
 	}
 
 	var err error
-	if shardCount > 0 {
-		err = c.runShard(fs.Arg(0))
+	if c.opts.ShardCount > 0 {
+		// Only the raw campaigns shard: derived experiments (fig8, summary,
+		// ...) need the full trial set and are produced from the merged
+		// directory instead. Partial per-shard tables would mislead, so a
+		// shard run prints a completion notice rather than results.
+		err = experiments.RunShardable(cmd.name, c.opts)
 		if err == nil {
-			fmt.Printf("shard %s of %q complete; journals under %s\n", *shard, fs.Arg(0), *out)
-			fmt.Printf("combine with: restore-sim merge -out <merged-dir> <all %d shard dirs>\n", shardCount)
+			fmt.Printf("shard %s of %q complete; journals under %s\n", *shard, cmd.name, out)
+			fmt.Printf("combine with: restore-sim merge -out <merged-dir> <all %d shard dirs>\n", c.opts.ShardCount)
 		}
 	} else {
-		err = c.dispatch(fs, fs.Arg(0))
+		err = cmd.run(c)
 	}
 	if errors.Is(err, inject.ErrInterrupted) {
-		if *out != "" {
-			fmt.Fprintf(os.Stderr, "restore-sim: interrupted; completed trials are journalled under %s — rerun the same command to resume\n", *out)
+		if out != "" {
+			fmt.Fprintf(os.Stderr, "restore-sim: interrupted; completed trials are journalled under %s — rerun the same command to resume\n", out)
 		} else {
 			fmt.Fprintln(os.Stderr, "restore-sim: interrupted (no -out directory, completed trials were discarded)")
 		}
@@ -360,37 +411,35 @@ func forceExit() {
 	exitFn(130)
 }
 
-// runShard runs one shard of a campaign experiment. Only the raw campaigns
-// can shard: derived experiments (fig8, summary, ...) need the full trial set
-// and are produced from the merged directory instead. Partial per-shard
-// tables would be misleading, so a shard run prints a completion notice
-// rather than results.
-func (c *cli) runShard(experiment string) error {
-	return experiments.RunShardable(experiment, c.opts)
-}
-
-// mergeRoots combines the campaign directories journalled by sharded runs.
-// Each root is the -out directory of one shard. Every campaign found in one
-// root must exist in all of them, each campaign's shards must together cover
-// every trial slot, and any journal corruption aborts the merge — a damaged
-// shard is resumed, never patched over.
-func mergeRoots(outRoot string, roots []string) error {
-	merged, err := campaignio.MergeRoots(outRoot, roots)
+// merge combines the campaign directories journalled by sharded runs into
+// -out. Each operand is the -out directory of one shard. Every campaign found
+// in one root must exist in all of them, each campaign's shards must together
+// cover every trial slot, and any journal corruption aborts the merge — a
+// damaged shard is resumed, never patched over.
+func (c *cli) merge() error {
+	if c.opts.CampaignRoot == "" {
+		return fmt.Errorf("merge requires -out <merged-dir>")
+	}
+	merged, err := campaignio.MergeRoots(c.opts.CampaignRoot, c.operands)
 	if err != nil {
 		return err
 	}
 	for _, m := range merged {
-		fmt.Printf("merged %s: %d/%d slots from %d shards\n", m.ID, m.Filled, m.Slots, len(roots))
+		fmt.Printf("merged %s: %d/%d slots from %d shards\n", m.ID, m.Filled, m.Slots, len(c.operands))
 	}
-	fmt.Printf("rerun any merged experiment with -out %s to print its full results\n", outRoot)
+	fmt.Printf("rerun any merged experiment with -out %s to print its full results\n", c.opts.CampaignRoot)
 	return nil
 }
 
-// inspectImage prints the frame directory of a ckptio container (golden
+// ckpt inspect prints the frame directory of a ckptio container (golden
 // images or any other RSTCKPT1 file): per-frame style, buffer count and
 // plain/stored sizes, plus the identification string when frame 0 carries
 // one. Only frame 0 is decoded.
-func inspectImage(path string) error {
+func (c *cli) ckpt() error {
+	if c.operands[0] != "inspect" {
+		return fmt.Errorf("usage: restore-sim ckpt inspect <image>")
+	}
+	path := c.operands[1]
 	f, err := ckptio.Open(path)
 	if err != nil {
 		return err
@@ -438,54 +487,6 @@ func printableMeta(b []byte) bool {
 		}
 	}
 	return true
-}
-
-func (c *cli) dispatch(fs *flag.FlagSet, experiment string) error {
-	switch experiment {
-	case "fig2":
-		return c.fig2(false)
-	case "fig2-low32":
-		return c.fig2(true)
-	case "fig4":
-		return c.fig4(false)
-	case "fig4-latches":
-		return c.fig4(true)
-	case "fig5":
-		return c.fig5(inject.DetectorJRS, "Figure 5: ReStore coverage with JRS confidence vs checkpoint interval")
-	case "fig5-perfect":
-		return c.fig5(inject.DetectorOracleConfidence, "Section 5.2.1 ablation: perfect confidence predictor")
-	case "fig6":
-		return c.fig6()
-	case "fig7":
-		return c.fig7()
-	case "fig8":
-		return c.fig8()
-	case "summary":
-		return c.summary()
-	case "compare":
-		return c.compare()
-	case "ablate-jrs":
-		return c.ablateJRS()
-	case "ablate-ckpt":
-		return c.ablateCheckpoints()
-	case "vulnerability":
-		return c.vulnerability()
-	case "analyze":
-		return c.analyze()
-	case "protect":
-		return c.protectPolicies()
-	case "protect-compare":
-		return c.protectCompare()
-	case "budget-sweep":
-		return c.budgetSweep()
-	case "demo":
-		return c.demo()
-	case "all":
-		return c.all()
-	default:
-		fs.Usage()
-		return fmt.Errorf("unknown experiment %q", experiment)
-	}
 }
 
 // progressMeter renders a throttled single-line trial counter with an ETA on
@@ -567,69 +568,41 @@ func (c *cli) fig2(low32 bool) error {
 	return nil
 }
 
-// campaign runs (or reuses) a microarchitectural campaign; hardened
-// protects the pipeline with the paper's placement (Figure 6).
-func (c *cli) campaign(latchesOnly, hardened bool) (*experiments.UArchExperiment, error) {
-	key := campaignKey{latchesOnly: latchesOnly, hardened: hardened}
-	if exp, ok := c.campaignCache[key]; ok {
+// campaign runs (or reuses) the microarchitectural campaign cc.
+func (c *cli) campaign(cc experiments.CampaignConfig) (*experiments.UArchExperiment, error) {
+	if exp, ok := c.campaignCache[cc]; ok {
 		return exp, nil
-	}
-	cc := experiments.CampaignConfig{LatchesOnly: latchesOnly}
-	if hardened {
-		cc.Policy = protect.LowHangingFruit()
 	}
 	exp, err := experiments.Campaign(c.opts, cc)
 	if err != nil {
 		return nil, err
 	}
 	if c.campaignCache == nil {
-		c.campaignCache = make(map[campaignKey]*experiments.UArchExperiment)
+		c.campaignCache = make(map[experiments.CampaignConfig]*experiments.UArchExperiment)
 	}
-	c.campaignCache[key] = exp
+	c.campaignCache[cc] = exp
 	return exp, nil
 }
 
-func (c *cli) fig4(latchesOnly bool) error {
-	exp, err := c.campaign(latchesOnly, false)
-	if err != nil {
-		return err
-	}
-	title := "Figure 4: soft error propagation vs checkpoint interval (perfect cfv detection)"
-	if latchesOnly {
-		title = "Section 5.1.2: latch-only injection vs checkpoint interval (perfect cfv detection)"
-	}
-	c.emit(exp.Table(title, inject.DetectorPerfect))
-	c.coverageFooter(exp, inject.DetectorPerfect)
-	return nil
-}
-
-func (c *cli) fig5(det inject.Detector, title string) error {
-	exp, err := c.campaign(false, false)
-	if err != nil {
-		return err
-	}
-	c.emit(exp.Table(title, det))
-	c.coverageFooter(exp, det)
-	return nil
-}
-
-func (c *cli) fig6() error {
-	exp, err := c.campaign(false, true)
-	if err != nil {
-		return err
-	}
-	c.emit(exp.Table("Figure 6: ReStore coverage in the hardened (parity/ECC) pipeline", inject.DetectorJRS))
-	c.coverageFooter(exp, inject.DetectorJRS)
-	for _, bench := range c.benchList() {
-		r, ok := exp.PerBench[bench]
-		if !ok {
-			continue
+// uarchFigure returns the command that prints campaign cc's outcomes under a
+// detector at every checkpoint interval (Figures 4-6), with its coverage
+// footer and, for the hardened pipeline, the protection's extent.
+func uarchFigure(cc experiments.CampaignConfig, det inject.Detector, title string) func(*cli) error {
+	return func(c *cli) error {
+		exp, err := c.campaign(cc)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("%s: protection covers %.1f%% of state bits, overhead %.1f%%\n",
-			bench, 100*r.HardenStats.CoveredFraction(), 100*r.HardenStats.OverheadFraction())
-		break // geometry is identical across benchmarks
+		c.emit(exp.Table(title, det))
+		c.coverageFooter(exp, det)
+		if cc.Hardened {
+			bench := c.benchList()[0] // geometry is identical across benchmarks
+			r := exp.PerBench[bench]
+			fmt.Printf("%s: protection covers %.1f%% of state bits, overhead %.1f%%\n",
+				bench, 100*r.HardenStats.CoveredFraction(), 100*r.HardenStats.OverheadFraction())
+		}
+		return nil
 	}
-	return nil
 }
 
 func (c *cli) coverageFooter(exp *experiments.UArchExperiment, det inject.Detector) {
@@ -679,11 +652,11 @@ func (c *cli) fig7() error {
 }
 
 func (c *cli) fig8() error {
-	plain, err := c.campaign(false, false)
+	plain, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}
-	hardened, err := c.campaign(false, true)
+	hardened, err := c.campaign(experiments.CampaignConfig{Hardened: true})
 	if err != nil {
 		return err
 	}
@@ -699,11 +672,11 @@ func (c *cli) fig8() error {
 }
 
 func (c *cli) summary() error {
-	plain, err := c.campaign(false, false)
+	plain, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}
-	hardened, err := c.campaign(false, true)
+	hardened, err := c.campaign(experiments.CampaignConfig{Hardened: true})
 	if err != nil {
 		return err
 	}
@@ -725,7 +698,7 @@ func (c *cli) summary() error {
 // pipeline for maximal coverage; ReStore trades some coverage for near-zero
 // cost).
 func (c *cli) compare() error {
-	exp, err := c.campaign(false, false)
+	exp, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}
@@ -776,7 +749,7 @@ func (c *cli) ablateJRS() error {
 }
 
 func (c *cli) ablateCheckpoints() error {
-	exp, err := c.campaign(false, false)
+	exp, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}
@@ -792,7 +765,7 @@ func (c *cli) ablateCheckpoints() error {
 }
 
 func (c *cli) vulnerability() error {
-	exp, err := c.campaign(false, false)
+	exp, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}
@@ -864,33 +837,16 @@ func (c *cli) demo() error {
 	return nil
 }
 
+// all runs every experiment the command table marks, in table order.
 func (c *cli) all() error {
-	steps := []func() error{
-		func() error { return c.fig2(false) },
-		func() error { return c.fig2(true) },
-		func() error { return c.fig4(false) },
-		func() error { return c.fig4(true) },
-		func() error {
-			return c.fig5(inject.DetectorJRS, "Figure 5: ReStore coverage with JRS confidence vs checkpoint interval")
-		},
-		func() error {
-			return c.fig5(inject.DetectorOracleConfidence, "Section 5.2.1 ablation: perfect confidence predictor")
-		},
-		c.fig6,
-		c.fig7,
-		c.fig8,
-		c.summary,
-		c.compare,
-		c.analyze,
-		c.protectPolicies,
-		c.protectCompare,
-		c.budgetSweep,
-	}
-	for i, step := range steps {
-		if i > 0 {
-			fmt.Println("\n" + strings.Repeat("=", 78) + "\n")
+	sep := ""
+	for _, cmd := range commands() {
+		if !cmd.all {
+			continue
 		}
-		if err := step(); err != nil {
+		fmt.Print(sep)
+		sep = "\n" + strings.Repeat("=", 78) + "\n\n"
+		if err := cmd.run(c); err != nil {
 			return err
 		}
 	}

@@ -267,6 +267,29 @@ func TestRunErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "budgets") {
 		t.Errorf("malformed -budgets: %v", err)
 	}
+	for _, flag := range []string{"-trials", "-scale"} {
+		if err := run([]string{flag, "-1", "-bench", "gzip", "fig4"}); err == nil || !strings.Contains(err.Error(), flag) {
+			t.Errorf("negative %s: %v", flag, err)
+		}
+	}
+	if err := run([]string{"fig2", "extra"}); err == nil {
+		t.Error("operand after an experiment accepted")
+	}
+
+	if err := run([]string{"trace"}); err == nil {
+		t.Error("trace without a program accepted")
+	}
+	if err := run([]string{"trace", "nosuchbench"}); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+	if err := run([]string{"trace", "/does/not/exist.s"}); err == nil {
+		t.Error("missing file accepted")
+	}
+	for _, bad := range []string{"r9", "x9:3", "r99:3", "r9:77"} {
+		if err := run([]string{"trace", "-corrupt", bad, "gzip"}); err == nil {
+			t.Errorf("bad corrupt spec %q accepted", bad)
+		}
+	}
 }
 
 // TestRunGoldenImageAndInspect runs a tiny fig4 campaign with -golden-image,

@@ -66,7 +66,7 @@ func (c *cli) protectPolicies() error {
 // fig4 reports scores the static-derived placement against the paper's
 // hand-picked one at equal check-bit budget.
 func (c *cli) protectCompare() error {
-	plain, err := c.campaign(false, false)
+	plain, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func (c *cli) budgetSweep() error {
 			budgets = append(budgets, n)
 		}
 	}
-	plain, err := c.campaign(false, false)
+	plain, err := c.campaign(experiments.CampaignConfig{})
 	if err != nil {
 		return err
 	}

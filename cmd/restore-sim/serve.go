@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"syscall"
@@ -15,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// runServe starts the campaign service daemon: an HTTP job queue over the
+// serve starts the campaign service daemon: an HTTP job queue over the
 // same deterministic campaign machinery the one-shot CLI uses. The daemon
 // owns a service root directory; jobs, shard journals, merged results and
 // golden images all live under it, so killing the daemon loses nothing —
@@ -25,21 +24,19 @@ import (
 // SIGTERM drains in-flight shards (journals flush, the running job is
 // re-queued on disk) and stops the server; a second signal forces an
 // immediate exit after flushing completed trial records.
-func runServe(root, addr string, maxShards, workers int) error {
-	if root == "" {
+func (c *cli) serve() error {
+	if c.root == "" {
 		return fmt.Errorf("serve requires -root <dir>: the service directory holding jobs, journals and golden images")
 	}
+	addr := c.addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
 	reg := obs.NewRegistry()
 	svc, err := service.New(service.Config{
-		Root:      root,
-		MaxShards: maxShards,
-		Workers:   workers,
+		Root:      c.root,
+		MaxShards: c.maxShards,
+		Workers:   c.opts.Workers,
 		Obs:       reg,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "restore-sim: serve: "+format+"\n", args...)
@@ -54,7 +51,7 @@ func runServe(root, addr string, maxShards, workers int) error {
 		svc.Close()
 		return err
 	}
-	fmt.Printf("restore-sim: campaign service on http://%s (root %s)\n", bound, root)
+	fmt.Printf("restore-sim: campaign service on http://%s (root %s)\n", bound, c.root)
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -79,71 +76,65 @@ func runServe(root, addr string, maxShards, workers int) error {
 	}
 }
 
-// serviceClient resolves the daemon address: -addr wins, otherwise the
-// daemon's serve.addr file under -root.
-func serviceClient(root, addr string) (*service.Client, error) {
-	if addr != "" {
-		return &service.Client{Base: addr}, nil
+// client resolves the daemon address: -addr wins, otherwise the daemon's
+// serve.addr file under -root.
+func (c *cli) client() (*service.Client, error) {
+	if c.addr != "" {
+		return &service.Client{Base: c.addr}, nil
 	}
-	if root == "" {
+	if c.root == "" {
 		return nil, fmt.Errorf("client subcommands need -root <dir> (to discover the daemon) or -addr <host:port>")
 	}
-	return service.NewClientFromRoot(root)
+	return service.NewClientFromRoot(c.root)
 }
 
-// runSubmit submits one experiment as a job, reusing the campaign flags the
+// submit submits one experiment as a job, reusing the campaign flags the
 // one-shot CLI takes (-seed, -scale, -trials, -bench, -workers) plus
 // -shards for the fan-out.
-func runSubmit(root, addr, experiment, benches string, seed int64, scale, trials float64,
-	shards, workers int, wait bool) error {
-	cl, err := serviceClient(root, addr)
+func (c *cli) submit() error {
+	cl, err := c.client()
 	if err != nil {
 		return err
 	}
-	if workers < 0 {
-		workers = runtime.NumCPU()
-	}
 	spec := service.JobSpec{
-		Experiment:  experiment,
-		Seed:        seed,
-		Scale:       scale,
-		TrialFactor: trials,
-		Shards:      shards,
-		Workers:     workers,
+		Experiment:  c.operands[0],
+		Seed:        c.opts.Seed,
+		Scale:       c.opts.Scale,
+		TrialFactor: c.opts.TrialFactor,
+		Shards:      c.shards,
+		Workers:     c.opts.Workers,
 	}
-	if benches != "" {
-		for _, name := range strings.Split(benches, ",") {
-			spec.Benchmarks = append(spec.Benchmarks, strings.TrimSpace(name))
-		}
+	for _, b := range c.opts.Benchmarks {
+		spec.Benchmarks = append(spec.Benchmarks, string(b))
 	}
 	j, err := cl.Submit(spec)
 	if err != nil {
 		return err
 	}
 	printJob(j)
-	if !wait {
-		fmt.Printf("follow with: restore-sim -root %s -wait status %s\n", root, j.ID)
+	if !c.wait {
+		fmt.Printf("follow with: restore-sim -root %s -wait status %s\n", c.root, j.ID)
 		return nil
 	}
 	return waitForJob(cl, j.ID)
 }
 
-// runStatus prints one job's state; with -wait it follows the job to a
+// status prints one job's state; with -wait it follows the job to a
 // terminal state.
-func runStatus(root, addr, id string, wait bool) error {
-	cl, err := serviceClient(root, addr)
+func (c *cli) status() error {
+	cl, err := c.client()
 	if err != nil {
 		return err
 	}
-	j, err := cl.Job(id)
+	j, err := cl.Job(c.operands[0])
 	if err != nil {
 		return err
 	}
 	printJob(j)
-	if !wait || j.State.Terminal() {
+	if !c.wait || j.State.Terminal() {
 		return jobExitErr(j)
 	}
-	return waitForJob(cl, id)
+	return waitForJob(cl, c.operands[0])
 }
 
 func waitForJob(cl *service.Client, id string) error {
@@ -167,12 +158,12 @@ func jobExitErr(j *service.Job) error {
 	return nil
 }
 
-func runCancel(root, addr, id string) error {
-	cl, err := serviceClient(root, addr)
+func (c *cli) cancel() error {
+	cl, err := c.client()
 	if err != nil {
 		return err
 	}
-	j, err := cl.Cancel(id)
+	j, err := cl.Cancel(c.operands[0])
 	if err != nil {
 		return err
 	}
@@ -180,8 +171,8 @@ func runCancel(root, addr, id string) error {
 	return nil
 }
 
-func runJobs(root, addr string) error {
-	cl, err := serviceClient(root, addr)
+func (c *cli) jobs() error {
+	cl, err := c.client()
 	if err != nil {
 		return err
 	}

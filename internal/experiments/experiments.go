@@ -181,9 +181,9 @@ type UArchExperiment struct {
 // CampaignConfig selects the microarchitectural campaign variant.
 type CampaignConfig struct {
 	LatchesOnly bool
-	// Policy, if non-nil, protects the pipeline: protect.LowHangingFruit()
-	// is Figure 6's hardened pipeline. See inject.UArchConfig.Policy.
-	Policy *protect.Policy
+	// Hardened protects the pipeline with the paper's parity/ECC placement
+	// (protect.LowHangingFruit): Figure 6's hardened pipeline.
+	Hardened bool
 }
 
 // Campaign runs the microarchitectural injection campaign of Section 4.2.
@@ -191,7 +191,7 @@ func Campaign(opts Options, cc CampaignConfig) (*UArchExperiment, error) {
 	opts.applyDefaults()
 	exp := &UArchExperiment{
 		LatchesOnly: cc.LatchesOnly,
-		Hardened:    cc.Policy != nil,
+		Hardened:    cc.Hardened,
 		PerBench:    make(map[workload.Benchmark]*inject.UArchResult, len(opts.Benchmarks)),
 	}
 	for _, bench := range opts.Benchmarks {
@@ -215,8 +215,10 @@ func runCampaign(opts Options, bench workload.Benchmark, cc CampaignConfig) (*in
 		TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
 		WindowCycles:   10_000,
 		LatchesOnly:    cc.LatchesOnly,
-		Policy:         cc.Policy,
 		Pipeline:       opts.pipeline,
+	}
+	if cc.Hardened {
+		cfg.Policy = protect.LowHangingFruit()
 	}
 	cfg.Exec = opts.exec(cfg.CampaignID())
 	return inject.RunUArch(cfg)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fit"
 	"repro/internal/inject"
 	"repro/internal/perf"
-	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/workload"
 )
@@ -84,7 +83,7 @@ func TestHardenedCampaignAndSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Campaign(opts, CampaignConfig{Policy: protect.LowHangingFruit()})
+	hard, err := Campaign(opts, CampaignConfig{Hardened: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +298,7 @@ func TestGoldenImageRootOnePerWarmUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts.vm = fig2.AllTrials
-		for i, cc := range []CampaignConfig{{}, {LatchesOnly: true}, {Policy: protect.LowHangingFruit()}} {
+		for i, cc := range []CampaignConfig{{}, {LatchesOnly: true}, {Hardened: true}} {
 			exp, err := Campaign(o, cc)
 			if err != nil {
 				t.Fatal(err)

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/protect"
 )
 
 // The shardable experiments are the raw injection campaigns: their trial
@@ -19,25 +17,18 @@ var shardableRuns = []struct {
 }{
 	{"fig2", func(o Options) error { _, err := Fig2(o, false); return err }},
 	{"fig2-low32", func(o Options) error { _, err := Fig2(o, true); return err }},
-	{"fig4", runPlainCampaign},
-	{"fig5", runPlainCampaign},
-	{"fig5-perfect", runPlainCampaign},
-	{"fig4-latches", func(o Options) error {
-		_, err := Campaign(o, CampaignConfig{LatchesOnly: true})
-		return err
-	}},
-	{"fig6", func(o Options) error {
-		_, err := Campaign(o, CampaignConfig{Policy: protect.LowHangingFruit()})
-		return err
-	}},
+	// fig4, fig5 and fig5-perfect reclassify the same unhardened campaign,
+	// so their journals are one and the same.
+	{"fig4", uarchRun(CampaignConfig{})},
+	{"fig5", uarchRun(CampaignConfig{})},
+	{"fig5-perfect", uarchRun(CampaignConfig{})},
+	{"fig4-latches", uarchRun(CampaignConfig{LatchesOnly: true})},
+	{"fig6", uarchRun(CampaignConfig{Hardened: true})},
 }
 
-// runPlainCampaign backs fig4/fig5/fig5-perfect: all three reclassify the
-// same unhardened microarchitectural campaign, so their journals are one and
-// the same.
-func runPlainCampaign(o Options) error {
-	_, err := Campaign(o, CampaignConfig{})
-	return err
+// uarchRun runs the microarchitectural campaign cc.
+func uarchRun(cc CampaignConfig) func(Options) error {
+	return func(o Options) error { _, err := Campaign(o, cc); return err }
 }
 
 // ShardableExperiments lists the experiment names RunShardable accepts, in

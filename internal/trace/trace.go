@@ -1,5 +1,5 @@
 // Package trace renders pipeline execution as human-readable commit traces
-// and summary statistics. It backs the restore-trace command and is useful
+// and summary statistics. It backs `restore-sim trace` and is useful
 // anywhere a run needs to be inspected instruction by instruction — for
 // example when diagnosing how an injected fault propagated.
 package trace
