@@ -77,7 +77,7 @@ bench:
 # Benchmark baseline. bench-baseline regenerates the committed
 # BENCH_pipeline.json from a fresh run; bench-check is what CI's bench job
 # runs — the same sweep diffed against the committed baseline, failing on a
-# >25% ns/op regression, a >25% campaign trials/s drop, or any allocs/op
+# >25% ns/op regression, a >40% campaign trials/s drop, or any allocs/op
 # growth in a hot-path benchmark.
 BENCHTIME ?= 0.2s
 
