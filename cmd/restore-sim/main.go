@@ -128,7 +128,7 @@ type cli struct {
 	shards    int
 	wait      bool
 
-	// trace.
+	// The trace command.
 	n, skip   uint64
 	corrupt   string
 	statsOnly bool
@@ -304,14 +304,13 @@ func run(args []string) error {
 	// run is durable there is something worth flushing) and the
 	// deterministic -stop-after trial counter. Campaigns drain in-flight
 	// trials, flush their journal and return inject.ErrInterrupted.
-	out := c.opts.CampaignRoot
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	stopCampaigns := func() { stopOnce.Do(func() { close(stop) }) }
-	if out != "" || *stopAfter > 0 {
+	if c.opts.CampaignRoot != "" || *stopAfter > 0 {
 		c.opts.Interrupt = stop
 	}
-	if out != "" {
+	if c.opts.CampaignRoot != "" {
 		sigc := make(chan os.Signal, 2)
 		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 		defer signal.Stop(sigc)
@@ -352,15 +351,15 @@ func run(args []string) error {
 		// shard run prints a completion notice rather than results.
 		err = experiments.RunShardable(cmd.name, c.opts)
 		if err == nil {
-			fmt.Printf("shard %s of %q complete; journals under %s\n", *shard, cmd.name, out)
+			fmt.Printf("shard %s of %q complete; journals under %s\n", *shard, cmd.name, c.opts.CampaignRoot)
 			fmt.Printf("combine with: restore-sim merge -out <merged-dir> <all %d shard dirs>\n", c.opts.ShardCount)
 		}
 	} else {
 		err = cmd.run(c)
 	}
 	if errors.Is(err, inject.ErrInterrupted) {
-		if out != "" {
-			fmt.Fprintf(os.Stderr, "restore-sim: interrupted; completed trials are journalled under %s — rerun the same command to resume\n", out)
+		if c.opts.CampaignRoot != "" {
+			fmt.Fprintf(os.Stderr, "restore-sim: interrupted; completed trials are journalled under %s — rerun the same command to resume\n", c.opts.CampaignRoot)
 		} else {
 			fmt.Fprintln(os.Stderr, "restore-sim: interrupted (no -out directory, completed trials were discarded)")
 		}
