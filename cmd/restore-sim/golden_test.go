@@ -18,13 +18,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // change (rerun with -update) or a regression in the analysis, the pipeline,
 // the campaigns or the ranking.
 func TestStaticPathGolden(t *testing.T) {
-	static := []string{"-seed", "7", "-scale", "0.25", "-bench", "gzip"}
 	for _, tc := range []struct {
 		name string
 		args []string
 	}{
-		{"analyze", append(static, "analyze")},
-		{"protect", append(static, "protect")},
+		{"analyze", []string{"-seed", "7", "-scale", "0.25", "-bench", "gzip", "analyze"}},
+		{"protect", []string{"-seed", "7", "-scale", "0.25", "-bench", "gzip", "protect"}},
 		{"all", []string{"-trials", "0.05", "-scale", "0.5", "-bench", "gzip", "all"}},
 		{"countdown", []string{"-n", "30", "trace", filepath.Join("testdata", "countdown.s")}},
 	} {

@@ -267,9 +267,9 @@ func TestRunErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "budgets") {
 		t.Errorf("malformed -budgets: %v", err)
 	}
-	for _, flag := range []string{"-trials", "-scale"} {
-		if err := run([]string{flag, "-1", "-bench", "gzip", "fig4"}); err == nil || !strings.Contains(err.Error(), flag) {
-			t.Errorf("negative %s: %v", flag, err)
+	for _, name := range []string{"-trials", "-scale"} {
+		if err := run([]string{name, "-1", "-bench", "gzip", "fig4"}); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("negative %s: %v", name, err)
 		}
 	}
 	if err := run([]string{"fig2", "extra"}); err == nil {

@@ -56,8 +56,10 @@ func (s JobState) Terminal() bool {
 }
 
 // JobSpec is a campaign submission: which experiment to run and how to scale
-// and split it. The zero values of the optional fields mean "the CLI's
-// defaults", so a spec of just {"experiment": "fig2"} is a paper-scale run.
+// and split it. Each optional field's zero value means the default its
+// comment gives, so a spec of just {"experiment": "fig2"} is a paper-scale
+// run; `restore-sim submit` fills the fields from its flags, and its -trials
+// default is 0.25.
 type JobSpec struct {
 	// Experiment names a shardable campaign experiment
 	// (experiments.ShardableExperiments): fig2, fig2-low32, fig4,
