@@ -230,7 +230,7 @@ func run(args []string) error {
 	progress := fs.Bool("progress", false, "print a live trial counter with ETA to stderr")
 	metrics := fs.String("metrics", "", "write campaign/pipeline telemetry to this file after the run (.json, .csv, else Prometheus text); results are identical either way")
 	pprof := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for live profiling")
-	fs.StringVar(&c.opts.CampaignRoot, "out", "", "campaign directory: journal completed trials under this directory and resume from it on rerun; results are identical either way")
+	fs.StringVar(&c.opts.CampaignRoot, "out", "", "campaign directory: journal completed trials under this directory and resume from it on rerun; results are identical either way (merge: the merged directory)")
 	shard := fs.String("shard", "", "run shard k/n of every campaign (1-based, e.g. 1/4); requires -out, combine shard directories with the merge subcommand")
 	stopAfter := fs.Int("stop-after", 0, "interrupt the run after this many trial completions (deterministic stand-in for ctrl-C; mainly for tests and CI)")
 	fs.StringVar(&c.opts.GoldenImageRoot, "golden-image", "", "golden-image directory: the first microarchitectural campaign of each warm-up saves the warmed-up pipeline under this directory, later campaigns, reruns and shards with that warm-up restore it instead of re-simulating the warm-up (software-level campaigns keep no image); results are identical either way")
