@@ -275,21 +275,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"fig2", "extra"}); err == nil {
 		t.Error("operand after an experiment accepted")
 	}
-
-	if err := run([]string{"trace"}); err == nil {
-		t.Error("trace without a program accepted")
-	}
-	if err := run([]string{"trace", "nosuchbench"}); err == nil {
-		t.Error("unknown benchmark accepted")
-	}
-	if err := run([]string{"trace", "/does/not/exist.s"}); err == nil {
-		t.Error("missing file accepted")
-	}
-	for _, bad := range []string{"r9", "x9:3", "r99:3", "r9:77"} {
-		if err := run([]string{"trace", "-corrupt", bad, "gzip"}); err == nil {
-			t.Errorf("bad corrupt spec %q accepted", bad)
-		}
-	}
 }
 
 // TestRunGoldenImageAndInspect runs a tiny fig4 campaign with -golden-image,

@@ -39,6 +39,23 @@ func TestRunCorruptFlag(t *testing.T) {
 	}
 }
 
+func TestRunTraceErrors(t *testing.T) {
+	if err := run([]string{"trace"}); err == nil {
+		t.Error("trace without a program accepted")
+	}
+	if err := run([]string{"trace", "nosuchbench"}); err == nil {
+		t.Error("unknown benchmark accepted")
+	}
+	if err := run([]string{"trace", "/does/not/exist.s"}); err == nil {
+		t.Error("missing file accepted")
+	}
+	for _, bad := range []string{"r9", "x9:3", "r99:3", "r9:77"} {
+		if err := run([]string{"trace", "-corrupt", bad, "gzip"}); err == nil {
+			t.Errorf("bad corrupt spec %q accepted", bad)
+		}
+	}
+}
+
 func TestParseCorrupt(t *testing.T) {
 	r, bit, err := parseCorrupt("r10:45")
 	if err != nil || r != 10 || bit != 45 {
