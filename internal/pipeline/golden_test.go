@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -117,5 +119,51 @@ func TestGoldenImageRefusesMismatch(t *testing.T) {
 	dp := newBenchPipeline(t, workload.Gzip, other)
 	if err := dp.LoadGoldenImage(path, []byte("meta-a"), 2); !errors.Is(err, ErrGoldenMismatch) {
 		t.Fatalf("JRS-state mismatch: got %v, want ErrGoldenMismatch", err)
+	}
+}
+
+// goldenImageSHA256 pins the SHA-256 of the golden image of each benchmark
+// (seed 42, scale 1.0) after a campaign's default 10,000-cycle warm-up. Any
+// change to the frame layout, the state serialisers or ckptio's codecs that
+// moves a byte of an image shows here.
+var goldenImageSHA256 = map[workload.Benchmark]string{
+	workload.Bzip2:  "ab5f083dd85f663ed66e31714711c0501de1544eea2b0c0c0e437ecf490541bc",
+	workload.Gap:    "4fd1ca6745fe074b2761393204132038a665b78a7a9d3e673242bebdad6897ae",
+	workload.GCC:    "5f3bd389400364ffe1d2eea1ec656ebe1f8ac05bab470c9fb40c9f1011602f62",
+	workload.Gzip:   "1039736082fc773fa7ca07eba29290ec675c1148e0e741001e810ed8b75cb28b",
+	workload.MCF:    "30e0240963dbf811e6608ffd2c9a028376e76b717ff05579080cb15d47739adc",
+	workload.Parser: "f8f33db1055f660ff57e63640cba903878f13584d49a2e7ead77224ba6316af1",
+	workload.Vortex: "2d8d1798ef1cebe7e2a1b44e2982dd8459c694a7fa39822d9a73023f0051cc05",
+}
+
+// TestGoldenImageBytesPinned writes each benchmark's warmed-up pipeline at 1
+// and 4 workers and compares the file's SHA-256 with the pinned one.
+func TestGoldenImageBytesPinned(t *testing.T) {
+	dir := t.TempDir()
+	meta := []byte("pinned-image")
+	for _, bench := range workload.Benchmarks() {
+		prog := workload.MustGenerate(bench, workload.Config{Seed: 42, Scale: 1.0})
+		m, err := prog.NewMemory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(DefaultConfig(), m, prog.Entry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.RunCycles(10_000)
+		for _, workers := range []int{1, 4} {
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.golden", bench, workers))
+			if _, err := p.WriteGoldenImage(path, meta, workers); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != goldenImageSHA256[bench] {
+				t.Errorf("%s at %d workers: image SHA-256 %s, want %s", bench, workers, got, goldenImageSHA256[bench])
+			}
+		}
 	}
 }

@@ -266,3 +266,42 @@ func TestGenerateManySeedsRunClean(t *testing.T) {
 		}
 	}
 }
+
+// TestCodePagesReadExecuteOnly pins the layout the VM campaign's golden log
+// relies on: NewMemory maps every code page read+execute and never writable,
+// and no data segment or stack page shares a page with code. Code can then
+// never change under a running program, so a faulty run that reaches a
+// golden PC executes the golden instruction there.
+func TestCodePagesReadExecuteOnly(t *testing.T) {
+	pages := func(base, length uint64) (uint64, uint64) {
+		return base >> mem.PageBits, (base + length - 1) >> mem.PageBits
+	}
+	for _, bench := range Benchmarks() {
+		for _, scale := range []float64{0.25, 1.0} {
+			p, err := Generate(bench, Config{Seed: 42, Scale: scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := p.NewMemory()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := pages(p.CodeBase, uint64(len(p.Code))*isa.InstBytes)
+			for vpn := lo; vpn <= hi; vpn++ {
+				addr := vpn << mem.PageBits
+				if !m.Mapped(addr, mem.PermRX) || m.Mapped(addr, mem.PermWrite) {
+					t.Errorf("%s scale %g: code page %#x is not read+execute only", bench, scale, addr)
+				}
+			}
+			others := map[string][2]uint64{"stack": {StackBase, StackSize}}
+			for _, seg := range p.Segments {
+				others["segment "+seg.Name] = [2]uint64{seg.Base, uint64(len(seg.Data))}
+			}
+			for name, r := range others {
+				if first, last := pages(r[0], max(r[1], 1)); first <= hi && last >= lo {
+					t.Errorf("%s scale %g: %s [%#x, +%d) shares a page with code", bench, scale, name, r[0], r[1])
+				}
+			}
+		}
+	}
+}
