@@ -174,6 +174,7 @@ func (w *Writer) encodeFrames(workers int) ([]encodedFrame, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var enc frameEncoder
 			for {
 				mu.Lock()
 				i := next
@@ -182,7 +183,7 @@ func (w *Writer) encodeFrames(workers int) ([]encodedFrame, error) {
 				if i >= len(w.frames) {
 					return
 				}
-				out[i], errs[i] = encodeFrame(w.frames[i])
+				out[i], errs[i] = enc.encode(w.frames[i])
 			}
 		}()
 	}
@@ -195,8 +196,14 @@ func (w *Writer) encodeFrames(workers int) ([]encodedFrame, error) {
 	return out, nil
 }
 
-// encodeFrame produces one frame's stored bytes.
-func encodeFrame(f *FrameWriter) (encodedFrame, error) {
+// frameEncoder is one encoding goroutine's codec: a flate writer made for
+// its first flate frame and Reset onto each later one. Reset is equivalent
+// to a fresh writer at the same level, so every frame's stored bytes are
+// the same whichever goroutine encodes it, and after how many others.
+type frameEncoder struct{ zw *flate.Writer }
+
+// encode produces one frame's stored bytes.
+func (e *frameEncoder) encode(f *FrameWriter) (encodedFrame, error) {
 	plain := encodePlain(f)
 	ef := encodedFrame{
 		style:    f.style,
@@ -208,14 +215,19 @@ func encodeFrame(f *FrameWriter) (encodedFrame, error) {
 		ef.stored = plain
 	case StyleFlate:
 		var buf sliceBuffer
-		zw, err := flate.NewWriter(&buf, flateLevel)
-		if err != nil {
+		if e.zw == nil {
+			zw, err := flate.NewWriter(&buf, flateLevel)
+			if err != nil {
+				return ef, err
+			}
+			e.zw = zw
+		} else {
+			e.zw.Reset(&buf)
+		}
+		if _, err := e.zw.Write(plain); err != nil {
 			return ef, err
 		}
-		if _, err := zw.Write(plain); err != nil {
-			return ef, err
-		}
-		if err := zw.Close(); err != nil {
+		if err := e.zw.Close(); err != nil {
 			return ef, err
 		}
 		ef.stored = buf.b
@@ -436,6 +448,28 @@ func (c *File) placeFrames(start, size int64) error {
 // ReadFrame decodes frame i and returns its buffers. Each call touches only
 // that frame's byte range, so calls for distinct frames can run in parallel.
 func (c *File) ReadFrame(i int) ([][]byte, error) {
+	return c.readFrame(i, new(frameDecoder))
+}
+
+// frameDecoder is one decoding goroutine's codec: a flate reader made for
+// its first flate frame and reset onto each later one.
+type frameDecoder struct {
+	src byteReader
+	zr  io.ReadCloser
+}
+
+// reader returns the decoder's flate reader over stored.
+func (d *frameDecoder) reader(stored []byte) (io.Reader, error) {
+	d.src = byteReader{b: stored}
+	if d.zr == nil {
+		d.zr = flate.NewReader(&d.src)
+		return d.zr, nil
+	}
+	return d.zr, d.zr.(flate.Resetter).Reset(&d.src, nil)
+}
+
+// readFrame is ReadFrame on the calling goroutine's decoder.
+func (c *File) readFrame(i int, d *frameDecoder) ([][]byte, error) {
 	if i < 0 || i >= len(c.frames) {
 		return nil, fmt.Errorf("ckptio: frame index %d out of range [0,%d)", i, len(c.frames))
 	}
@@ -446,23 +480,25 @@ func (c *File) ReadFrame(i int) ([][]byte, error) {
 	}
 	plain := stored
 	if fi.style == StyleFlate {
-		plain = make([]byte, 0, fi.plainLen)
-		zr := flate.NewReader(&byteReader{b: stored})
-		buf := make([]byte, 64<<10)
-		for {
-			n, err := zr.Read(buf)
-			plain = append(plain, buf[:n]...)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
-			}
-			if len(plain) > int(fi.plainLen) {
-				return nil, fmt.Errorf("%w: frame %d inflates past declared size", ErrCorrupt, i)
-			}
+		zr, err := d.reader(stored)
+		if err != nil {
+			return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
 		}
-		zr.Close()
+		// parseHeader bounds plainLen by what the stored bytes can inflate to.
+		plain = make([]byte, fi.plainLen)
+		n, _ := io.ReadFull(zr, plain)
+		// One byte more tells a stream that ends at plainLen from a longer
+		// one. After a short read it returns the stream's end again, or its
+		// error: the decompressor's error is sticky.
+		var extra [1]byte
+		m, err := zr.Read(extra[:])
+		switch {
+		case m > 0:
+			return nil, fmt.Errorf("%w: frame %d inflates past declared size", ErrCorrupt, i)
+		case err != io.EOF:
+			return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
+		}
+		plain = plain[:n]
 	}
 	if len(plain) != int(fi.plainLen) {
 		return nil, fmt.Errorf("%w: frame %d payload %d bytes, want %d", ErrCorrupt, i, len(plain), fi.plainLen)
@@ -511,6 +547,7 @@ func (c *File) ReadAll(workers int) ([][][]byte, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var dec frameDecoder
 			for {
 				mu.Lock()
 				i := next
@@ -519,7 +556,7 @@ func (c *File) ReadAll(workers int) ([][][]byte, error) {
 				if i >= len(c.frames) {
 					return
 				}
-				out[i], errs[i] = c.ReadFrame(i)
+				out[i], errs[i] = c.readFrame(i, &dec)
 			}
 		}()
 	}
@@ -533,7 +570,8 @@ func (c *File) ReadAll(workers int) ([][][]byte, error) {
 }
 
 // byteReader adapts a byte slice to the flate reader without pulling in
-// bytes.Reader's seeking surface.
+// bytes.Reader's seeking surface. As an io.ByteReader it is read directly,
+// without the bufio.Reader flate puts in front of other readers.
 type byteReader struct{ b []byte }
 
 func (r *byteReader) Read(p []byte) (int, error) {
@@ -543,4 +581,13 @@ func (r *byteReader) Read(p []byte) (int, error) {
 	n := copy(p, r.b)
 	r.b = r.b[n:]
 	return n, nil
+}
+
+func (r *byteReader) ReadByte() (byte, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -292,7 +293,7 @@ func oversizedImages(t testing.TB) map[string][]byte {
 	}
 	fw := &FrameWriter{style: StyleFlate}
 	fw.Add(nil)
-	flated, err := encodeFrame(fw)
+	flated, err := new(frameEncoder).encode(fw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,5 +350,36 @@ func TestReadFrameIndependence(t *testing.T) {
 	}
 	if _, err := c.ReadFrame(4); err == nil {
 		t.Fatal("out-of-range frame index must error")
+	}
+}
+
+// TestFlateFrameSizeMismatch hand-builds a flate frame whose directory entry
+// declares one byte more, then one byte less, than its stream inflates to.
+// Both are corrupt frames, reported with the decoder's own texts.
+func TestFlateFrameSizeMismatch(t *testing.T) {
+	fw := &FrameWriter{style: StyleFlate}
+	fw.Add(bytes.Repeat([]byte("declared size "), 40))
+	ef, err := new(frameEncoder).encode(fw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ef.plainLen
+	for _, tc := range []struct {
+		name     string
+		plainLen uint32
+		want     string
+	}{
+		{"stream one byte short", n + 1, fmt.Sprintf("ckptio: corrupt data: frame 0 payload %d bytes, want %d", n, n+1)},
+		{"stream one byte long", n - 1, "ckptio: corrupt data: frame 0 inflates past declared size"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := ef
+			bad.plainLen = tc.plainLen
+			data := append(layout([]encodedFrame{bad}), bad.stored...)
+			err := decodeAllBytes(t, data)
+			if !errors.Is(err, ErrCorrupt) || err.Error() != tc.want {
+				t.Fatalf("got %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
