@@ -168,10 +168,14 @@ type vmModel struct {
 	memPool *forkPool[*mem.Memory]
 }
 
-// goldenStep is what a trial compares of one golden instruction: 32 bytes,
-// against arch.Event's 104.
+// goldenStep is what a trial compares of one golden instruction: 24 bytes,
+// against arch.Event's 104. val is the store value of a store and the
+// destination value of any other instruction; a store writes no register.
+// A trial reads val only where its PC matched the golden PC. Code pages are
+// never writable (workload.NewMemory), so there both runs execute the same
+// instruction, and val means the same to both.
 type goldenStep struct {
-	pc, destVal, memAddr, storeVal uint64
+	pc, val, memAddr uint64
 }
 
 // vmGolden is one point's golden continuation: its window of the shared log
@@ -320,7 +324,11 @@ func (m *vmModel) extendLog(end uint64) (bool, error) {
 		case ev.Halted:
 			return false, nil
 		}
-		m.log = append(m.log, goldenStep{pc: ev.PC, destVal: ev.DestVal, memAddr: ev.MemAddr, storeVal: ev.StoreVal})
+		val := ev.DestVal
+		if ev.IsStore {
+			val = ev.StoreVal
+		}
+		m.log = append(m.log, goldenStep{pc: ev.PC, val: val, memAddr: ev.MemAddr})
 	}
 	return true, nil
 }
@@ -410,7 +418,7 @@ func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden *vmGolden, trial *VMTrial,
 			continue
 		}
 		if ev.DestValid {
-			regs.mark(ev.Dest, ev.DestVal != g.destVal)
+			regs.mark(ev.Dest, ev.DestVal != g.val)
 		}
 		if ev.IsLoad || ev.IsStore {
 			if ev.MemAddr != g.memAddr {
@@ -422,7 +430,7 @@ func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden *vmGolden, trial *VMTrial,
 					divergedMem[g.memAddr] = true
 				}
 			} else if ev.IsStore {
-				if ev.StoreVal != g.storeVal {
+				if ev.StoreVal != g.val {
 					if trial.MemDataLat == Never {
 						trial.MemDataLat = lat
 					}
