@@ -266,9 +266,13 @@ type uarchModel struct {
 	// golden run once for the whole campaign. The dispatcher appends to the
 	// log while workers read earlier views of it, so a log is never
 	// truncated or reused, only replaced by a fresh one.
-	rec          *pipeline.Pipeline
-	log          *goldenLog
-	goldenCycles *obs.Counter // cycles the recorder simulated
+	rec           *pipeline.Pipeline
+	log           *goldenLog
+	goldenCycles  *obs.Counter // cycles the recorder simulated
+	goldenDigests *obs.Counter // golden states the recorder hashed
+	// digLo is the first point whose window [p, p+W] can still hold a
+	// recorded cycle; see digest.
+	digLo int
 
 	// The recorder marks the access units it reads or writes into access
 	// each cycle, and folds them into touched[i] for every point i whose
@@ -292,7 +296,8 @@ type goldenLog struct {
 	misps   []mispRec
 }
 
-// logCycle is one logged golden cycle: 16 bytes.
+// logCycle is one logged golden cycle: 16 bytes. digest is 0 for a cycle no
+// point's window holds, which no view reads.
 type logCycle struct {
 	digest         uint64
 	commits, misps uint32
@@ -304,11 +309,12 @@ func newUArchModel(cfg *UArchConfig, prog *workload.Program) (*uarchModel, error
 		return nil, err
 	}
 	m := &uarchModel{
-		cfg:          cfg,
-		base:         cfg.WarmupCycles,
-		goldenCycles: cfg.Obs.Counter("campaign_uarch_golden_cycles_total"),
-		trialCycles:  cfg.Obs.Counter("campaign_uarch_trial_cycles_total"),
-		resolved:     cfg.Obs.Counter("campaign_uarch_resolved_trials_total"),
+		cfg:           cfg,
+		base:          cfg.WarmupCycles,
+		goldenCycles:  cfg.Obs.Counter("campaign_uarch_golden_cycles_total"),
+		goldenDigests: cfg.Obs.Counter("campaign_uarch_golden_digests_total"),
+		trialCycles:   cfg.Obs.Counter("campaign_uarch_trial_cycles_total"),
+		resolved:      cfg.Obs.Counter("campaign_uarch_resolved_trials_total"),
 	}
 	if m.master, err = pipeline.New(cfg.pipelineConfig(), mem, prog.Entry); err != nil {
 		return nil, err
@@ -418,7 +424,7 @@ func (m *uarchModel) forkRecorder(start uint64) {
 		}
 	}
 	m.log = m.newLog(start)
-	m.log.cycles = append(m.log.cycles, logCycle{digest: m.rec.State().Hash()})
+	m.log.cycles = append(m.log.cycles, logCycle{digest: m.digest(start)})
 }
 
 // moveLog copies the log's live suffix, from the point at start on, into a
@@ -481,12 +487,29 @@ func (m *uarchModel) extendLog(end uint64) (bool, error) {
 			return false, fmt.Errorf("inject: golden continuation stopped: %v", m.rec.Status())
 		}
 		m.log.cycles = append(m.log.cycles, logCycle{
-			digest:  m.rec.State().Hash(),
+			digest:  m.digest(m.rec.Cycles()),
 			commits: uint32(len(m.log.commits)),
 			misps:   uint32(len(m.log.misps)),
 		})
 	}
 	return true, nil
+}
+
+// digest hashes the recorder's state at cycle c if some point's window
+// [p, p+W] holds c, and returns 0 otherwise: a view reads digests only in
+// its point's window. The offsets are sorted, so the windows' ends are too,
+// and the recorder only moves forward, so the first window that can still
+// hold c only moves forward too.
+func (m *uarchModel) digest(c uint64) uint64 {
+	at := func(i int) uint64 { return m.cfg.WarmupCycles + m.offsets[i] }
+	for m.digLo < len(m.offsets) && at(m.digLo)+m.cfg.WindowCycles < c {
+		m.digLo++
+	}
+	if m.digLo == len(m.offsets) || at(m.digLo) > c {
+		return 0
+	}
+	m.goldenDigests.Inc()
+	return m.rec.State().Hash()
 }
 
 // foldAccess adds the access units the recorder touched in cycle c to the

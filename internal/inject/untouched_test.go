@@ -270,18 +270,18 @@ func TestUArchUntouchedUnitsMatchSimulation(t *testing.T) {
 }
 
 // The work counts of smallUArch on every benchmark are exact: faulty cycles
-// simulated and trials resolved from the golden log. They depend on the
-// rule's reach and on nothing of the host, so a change in either shows here
-// as a count.
+// simulated, trials resolved from the golden log and golden states digested.
+// They depend on the rule's reach, on which golden cycles a view reads and on
+// nothing of the host, so a change in any shows here as a count.
 func TestUArchWorkCountsPinned(t *testing.T) {
-	want := map[workload.Benchmark][2]int64{ // trial cycles, resolved trials
-		workload.Bzip2:  {41385, 16},
-		workload.Gap:    {46920, 13},
-		workload.GCC:    {52537, 14},
-		workload.Gzip:   {52782, 16},
-		workload.MCF:    {65475, 17},
-		workload.Parser: {69542, 13},
-		workload.Vortex: {73543, 14},
+	want := map[workload.Benchmark][3]int64{ // trial cycles, resolved trials, golden digests
+		workload.Bzip2:  {41385, 16, 8107},
+		workload.Gap:    {46920, 13, 8107},
+		workload.GCC:    {52537, 14, 8107},
+		workload.Gzip:   {52782, 16, 8107},
+		workload.MCF:    {65475, 17, 8107},
+		workload.Parser: {69542, 13, 8107},
+		workload.Vortex: {73543, 14, 8107},
 	}
 	for _, bench := range workload.Benchmarks() {
 		bench := bench
@@ -293,12 +293,15 @@ func TestUArchWorkCountsPinned(t *testing.T) {
 			if _, err := RunUArch(cfg); err != nil {
 				t.Fatal(err)
 			}
-			got := [2]int64{
+			got := [3]int64{
 				reg.Counter("campaign_uarch_trial_cycles_total").Value(),
 				reg.Counter("campaign_uarch_resolved_trials_total").Value(),
+				reg.Counter("campaign_uarch_golden_digests_total").Value(),
 			}
 			if got != want[bench] {
-				t.Errorf("trial cycles, resolved trials = %d, %d; want %d, %d", got[0], got[1], want[bench][0], want[bench][1])
+				t.Errorf("trial cycles, resolved trials, golden digests = %d, %d, %d; want %d, %d, %d (golden cycles %d)",
+					got[0], got[1], got[2], want[bench][0], want[bench][1], want[bench][2],
+					reg.Counter("campaign_uarch_golden_cycles_total").Value())
 			}
 		})
 	}
