@@ -8,6 +8,8 @@
 //
 // Flags may come before or after the experiment or tool name. Running
 // restore-sim with no arguments prints every tool's synopsis and the flags.
+// The flags that act on an experiment's campaigns (-metrics, -shard,
+// -stop-after, -progress and -pprof) are an error with a tool.
 //
 // Experiments:
 //
@@ -216,6 +218,10 @@ func usage(fs *flag.FlagSet) {
 	fs.PrintDefaults()
 }
 
+// experimentOnly names the flags that act on an experiment's campaigns
+// only. A tool runs no campaign, so it refuses them rather than ignore them.
+var experimentOnly = []string{"metrics", "shard", "stop-after", "progress", "pprof"}
+
 func run(args []string) error {
 	c := &cli{}
 	fs := flag.NewFlagSet("restore-sim", flag.ContinueOnError)
@@ -283,6 +289,15 @@ func run(args []string) error {
 		}
 	}
 	if cmd.tool {
+		var misused error
+		fs.Visit(func(f *flag.Flag) {
+			if misused == nil && slices.Contains(experimentOnly, f.Name) {
+				misused = fmt.Errorf("-%s applies to experiments, not to the %s tool", f.Name, cmd.name)
+			}
+		})
+		if misused != nil {
+			return misused
+		}
 		return cmd.run(c)
 	}
 	if *shard != "" {

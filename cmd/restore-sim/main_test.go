@@ -275,6 +275,35 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"fig2", "extra"}); err == nil {
 		t.Error("operand after an experiment accepted")
 	}
+	// A tool runs no campaign: the flags that act on campaigns are refused,
+	// before or after the tool's name, rather than ignored.
+	dir := t.TempDir()
+	for _, flags := range [][]string{
+		{"-metrics", filepath.Join(dir, "m.prom")},
+		{"-shard", "1/2"},
+		{"-stop-after", "3"},
+		{"-progress"},
+		{"-pprof", "localhost:0"},
+	} {
+		for _, tool := range [][]string{
+			{"-n", "5", "trace", "gzip"},
+			{"-out", dir, "merge", dir},
+			{"ckpt", "inspect", filepath.Join(dir, "none.golden")},
+			{"-root", dir, "jobs"},
+		} {
+			args := append(append([]string{}, flags...), tool...)
+			if err := run(args); err == nil || !strings.Contains(err.Error(), flags[0]) {
+				t.Errorf("run(%q) = %v, want an error naming %s", args, err, flags[0])
+			}
+		}
+		args := append(append([]string{"trace"}, flags...), "-n", "5", "gzip")
+		if err := run(args); err == nil || !strings.Contains(err.Error(), flags[0]) {
+			t.Errorf("run(%q) = %v, want an error naming %s", args, err, flags[0])
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "m.prom")); !os.IsNotExist(err) {
+		t.Errorf("a refused -metrics wrote its file (stat: %v)", err)
+	}
 }
 
 // TestRunGoldenImageAndInspect runs a tiny fig4 campaign with -golden-image,
