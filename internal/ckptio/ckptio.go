@@ -486,10 +486,12 @@ func (c *File) readFrame(i int, d *frameDecoder) ([][]byte, error) {
 		}
 		// parseHeader bounds plainLen by what the stored bytes can inflate to.
 		plain = make([]byte, fi.plainLen)
+		// ReadFull's error needs no check of its own: a clean end short of
+		// plainLen fails the length check below, and the decompressor's
+		// errors are sticky, so reading one byte more returns any other
+		// again. That read also tells a stream that ends at plainLen from a
+		// longer one.
 		n, _ := io.ReadFull(zr, plain)
-		// One byte more tells a stream that ends at plainLen from a longer
-		// one. After a short read it returns the stream's end again, or its
-		// error: the decompressor's error is sticky.
 		var extra [1]byte
 		m, err := zr.Read(extra[:])
 		switch {
