@@ -364,9 +364,12 @@ func (m *uarchModel) plan() (int, error) {
 	return cfg.Points, nil
 }
 
+// pointCycle is the cycle of point i.
+func (m *uarchModel) pointCycle(i int) uint64 { return m.cfg.WarmupCycles + m.offsets[i] }
+
 func (m *uarchModel) advance(i int) (bool, error) {
 	m.point = i
-	if target := m.cfg.WarmupCycles + m.offsets[i]; target > m.base {
+	if target := m.pointCycle(i); target > m.base {
 		m.master.RunCycles(target - m.base)
 		m.base = target
 	}
@@ -501,11 +504,10 @@ func (m *uarchModel) extendLog(end uint64) (bool, error) {
 // and the recorder only moves forward, so the first window that can still
 // hold c only moves forward too.
 func (m *uarchModel) digest(c uint64) uint64 {
-	at := func(i int) uint64 { return m.cfg.WarmupCycles + m.offsets[i] }
-	for m.digLo < len(m.offsets) && at(m.digLo)+m.cfg.WindowCycles < c {
+	for m.digLo < len(m.offsets) && m.pointCycle(m.digLo)+m.cfg.WindowCycles < c {
 		m.digLo++
 	}
-	if m.digLo == len(m.offsets) || at(m.digLo) > c {
+	if m.digLo == len(m.offsets) || m.pointCycle(m.digLo) > c {
 		return 0
 	}
 	m.goldenDigests.Inc()
@@ -517,11 +519,10 @@ func (m *uarchModel) digest(c uint64) uint64 {
 // The recorder only moves forward, so the windows that hold c only move
 // forward too.
 func (m *uarchModel) foldAccess(c uint64) {
-	at := func(i int) uint64 { return m.cfg.WarmupCycles + m.offsets[i] }
-	for m.winHi < len(m.offsets) && at(m.winHi) < c {
+	for m.winHi < len(m.offsets) && m.pointCycle(m.winHi) < c {
 		m.winHi++
 	}
-	for m.winLo < m.winHi && at(m.winLo)+m.cfg.WindowCycles < c {
+	for m.winLo < m.winHi && m.pointCycle(m.winLo)+m.cfg.WindowCycles < c {
 		m.winLo++
 	}
 	for i := m.winLo; i < m.winHi; i++ {
