@@ -40,6 +40,12 @@ func TestCampaignMetricsInert(t *testing.T) {
 		if got, want := reg.Counter("campaign_uarch_golden_cycles_total").Value(), spanUnion(instrumented.Trials, w+w/4); got != want {
 			t.Errorf("golden_cycles_total = %d, want %d", got, want)
 		}
+		// It hashes only the cycles of the union of the windows [P, P + W],
+		// the digests a view reads. [P, P + W] holds the same number of
+		// cycles as (P - 1, P + W], so the union is spanUnion's at W + 1.
+		if got, want := reg.Counter("campaign_uarch_golden_digests_total").Value(), spanUnion(instrumented.Trials, w+1); got != want {
+			t.Errorf("golden_digests_total = %d, want %d", got, want)
+		}
 		// The master pipeline carries the instrumentation through warm-up
 		// and the walk between points, so the occupancy histograms must be
 		// live.
