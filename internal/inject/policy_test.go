@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/protect"
+	"repro/internal/workload"
 )
 
 // testPolicy is a small static-budget policy mixing a parity latch domain
@@ -98,6 +99,59 @@ func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 	}
 	if covered == 0 {
 		t.Error("no trial landed in a policy-covered element; pick-identity check is vacuous")
+	}
+}
+
+// The hardened campaign repeats the plain one slot for slot: protection is
+// asked only after each pre-drawn pick, so both campaigns visit the same
+// points, elements and bits, and a slot the placement leaves unprotected runs
+// exactly as it does on the plain pipeline. Deriving the hardened campaign
+// from the plain one rests on this, on every benchmark and with latches only.
+func TestUArchPolicyRepeatsPlainCampaign(t *testing.T) {
+	lhf := protect.LowHangingFruit()
+	for _, bench := range workload.Benchmarks() {
+		for _, latches := range []bool{false, true} {
+			name := string(bench)
+			if latches {
+				name += "/latches"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				cfg := smallUArch(bench)
+				cfg.LatchesOnly = latches
+				plain, err := RunUArch(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Policy = lhf
+				hard, err := RunUArch(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hard.Trials) != len(plain.Trials) {
+					t.Fatalf("hardened campaign ran %d trials, plain %d", len(hard.Trials), len(plain.Trials))
+				}
+				protected := 0
+				for i, p := range plain.Trials {
+					h := hard.Trials[i]
+					if h.PointCycle != p.PointCycle || h.Elem != p.Elem || h.Bit != p.Bit || h.IsLatch != p.IsLatch {
+						t.Fatalf("slot %d picks differ:\n plain    %+v\n hardened %+v", i, p, h)
+					}
+					if want := lhf.ProtectionOf(h.Elem) != protect.Unprotected; h.Protected != want {
+						t.Errorf("slot %d (%s): Protected %v, placement covers %v", i, h.Elem, h.Protected, want)
+					}
+					if h.Protected {
+						protected++
+					} else if h != p {
+						t.Errorf("unprotected slot %d differs:\n plain    %+v\n hardened %+v", i, p, h)
+					}
+				}
+				if protected == 0 || protected == len(plain.Trials) {
+					t.Errorf("%d of %d slots protected; the comparison needs both kinds", protected, len(plain.Trials))
+				}
+				t.Logf("%d of %d slots protected", protected, len(plain.Trials))
+			})
+		}
 	}
 }
 
