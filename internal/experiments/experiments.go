@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
-	"repro/internal/protect"
 	"repro/internal/restore"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -215,10 +214,8 @@ func runCampaign(opts Options, bench workload.Benchmark, cc CampaignConfig) (*in
 		TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
 		WindowCycles:   10_000,
 		LatchesOnly:    cc.LatchesOnly,
+		Hardened:       cc.Hardened,
 		Pipeline:       opts.pipeline,
-	}
-	if cc.Hardened {
-		cfg.Policy = protect.LowHangingFruit()
 	}
 	cfg.Exec = opts.exec(cfg.CampaignID())
 	return inject.RunUArch(cfg)

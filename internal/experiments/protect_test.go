@@ -38,7 +38,7 @@ func TestMeasuredCoverage(t *testing.T) {
 	if got := MeasuredCoverage(nil, pol); got != 0 {
 		t.Errorf("MeasuredCoverage(nil) = %v", got)
 	}
-	if got := MeasuredCoverage(trials, protect.None()); got != 0 {
+	if got := MeasuredCoverage(trials, &protect.Policy{}); got != 0 {
 		t.Errorf("coverage of empty policy = %v", got)
 	}
 }

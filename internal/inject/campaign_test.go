@@ -3,7 +3,6 @@ package inject
 import (
 	"testing"
 
-	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -161,7 +160,7 @@ func TestUArchHardenedPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallUArch(workload.Vortex)
-	cfg.Policy = protect.LowHangingFruit()
+	cfg.Hardened = true
 	hard, err := RunUArch(cfg)
 	if err != nil {
 		t.Fatal(err)

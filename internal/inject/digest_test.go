@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/campaignio"
 	"repro/internal/pipeline"
-	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -111,8 +110,7 @@ func TestCampaignDigests(t *testing.T) {
 			t.Run("vm/"+string(bench), vm("vm/"+string(bench), func(c *VMConfig) { *c = smallVM(bench, false) }))
 		}
 		t.Run("uarch/gzip/latches-only", uarch("uarch/gzip/latches-only", func(c *UArchConfig) { c.LatchesOnly = true }))
-		t.Run("uarch/gzip/harden-lhf", uarch("uarch/gzip/harden-lhf", func(c *UArchConfig) { c.Policy = protect.LowHangingFruit() }))
-		t.Run("uarch/gzip/policy", uarch("uarch/gzip/policy", func(c *UArchConfig) { c.Policy = testPolicy() }))
+		t.Run("uarch/gzip/harden-lhf", uarch("uarch/gzip/harden-lhf", func(c *UArchConfig) { c.Hardened = true }))
 		t.Run("uarch/gzip/burst2", uarch("uarch/gzip/burst2", func(c *UArchConfig) { c.BurstBits = 2 }))
 		t.Run("uarch/gzip/workers4", uarch("uarch/gzip/workers4", func(c *UArchConfig) { c.Workers = 4 }))
 		t.Run("uarch/mcf/truncated", uarch("uarch/mcf/truncated", func(c *UArchConfig) {
@@ -197,15 +195,12 @@ func TestCampaignDigests(t *testing.T) {
 // not IDs; this table pins the IDs themselves.
 func TestCampaignIDsPinned(t *testing.T) {
 	hardened := smallUArch(workload.Gzip)
-	hardened.Policy = protect.LowHangingFruit()
-	policy := smallUArch(workload.Gzip)
-	policy.Policy = testPolicy()
+	hardened.Hardened = true
 	for _, tc := range []struct {
 		name, got, want string
 	}{
 		{"uarch", smallUArch(workload.Gzip).CampaignID(), "uarch-gzip-7d935e59c293a96d"},
 		{"uarch/low-hanging-fruit", hardened.CampaignID(), "uarch-gzip-13a5567b55019468"},
-		{"uarch/policy", policy.CampaignID(), "uarch-gzip-96a2babba6b2af6d"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: CampaignID %s, pinned %s", tc.name, tc.got, tc.want)

@@ -21,7 +21,7 @@ import (
 // goldenKey identifies the warm-up a golden image captures: exactly the
 // inputs that determine the warmed state, nothing more. Its fingerprint names
 // the image file, so one image serves every campaign whose warm-up matches
-// (different Points, trial counts, bit sets, policies or shard assignments
+// (different Points, trial counts, bit sets, hardening or shard assignments
 // included), and the image carries the key itself so a load can check it.
 func (c *UArchConfig) goldenKey() string {
 	return fmt.Sprintf("uarch|bench=%s|seed=%d|scale=%g|warmup=%d|pipe=%+v",

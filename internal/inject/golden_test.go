@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -154,7 +153,7 @@ func TestGoldenImageConfigMismatch(t *testing.T) {
 		"points":   {func(c *UArchConfig) { c.Points, c.SpreadCycles = 3, 7_000 }, true},
 		"window":   {func(c *UArchConfig) { c.WindowCycles = 2_000 }, true},
 		"latches":  {func(c *UArchConfig) { c.LatchesOnly = true }, true},
-		"policy":   {func(c *UArchConfig) { c.Policy = protect.LowHangingFruit() }, true},
+		"hardened": {func(c *UArchConfig) { c.Hardened = true }, true},
 	} {
 		other := cfg
 		c.edit(&other)

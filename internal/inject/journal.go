@@ -58,24 +58,18 @@ func fingerprint(canonical string) string {
 }
 
 func (c UArchConfig) planString() string {
-	// The paper's placement plans as harden=1 with no policy suffix, the
-	// spelling it had when it was a protection scheme of its own rather
-	// than a policy; every other policy plans as harden=0 plus its
-	// fingerprint, and no policy as harden=0 alone. Keeping that spelling
-	// keeps the campaign IDs that name existing fig6 campaign directories,
-	// and the config hash inside their merged manifests.
-	harden, suffix := 0, ""
-	if c.Policy != nil {
-		if fp := c.Policy.Fingerprint(); fp == protect.LowHangingFruit().Fingerprint() {
-			harden = 1
-		} else {
-			suffix = "|policy=" + fp
-		}
+	// Hardened plans as harden=1, the spelling that names existing fig6
+	// campaign directories and the config hash inside their merged
+	// manifests. It stands for protect.LowHangingFruit, whose placement
+	// TestLowHangingFruitMatchesHarden pins.
+	harden := 0
+	if c.Hardened {
+		harden = 1
 	}
 	return fmt.Sprintf("uarch|bench=%s|seed=%d|scale=%g|points=%d|tpp=%d|warmup=%d|spread=%d|window=%d|latches=%t|burst=%d|harden=%d|pipe=%+v",
 		c.Bench, c.Seed, c.Scale, c.Points, c.TrialsPerPoint,
 		c.WarmupCycles, c.SpreadCycles, c.WindowCycles,
-		c.LatchesOnly, c.BurstBits, harden, c.pipelineConfig()) + suffix
+		c.LatchesOnly, c.BurstBits, harden, c.pipelineConfig())
 }
 
 func (c VMConfig) planString() string {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/protect"
 	"repro/internal/workload"
 )
 
@@ -22,13 +21,12 @@ import (
 //	go test -tags proof -run TestPaperScaleProof -timeout 30m ./internal/inject
 func TestPaperScaleProof(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		latches bool
-		policy  *protect.Policy
+		name              string
+		latches, hardened bool
 	}{
-		{"fig4", false, nil},
-		{"fig4-latches", true, nil},
-		{"fig6", false, protect.LowHangingFruit()},
+		{"fig4", false, false},
+		{"fig4-latches", true, false},
+		{"fig6", false, true},
 	} {
 		for _, bench := range workload.Benchmarks() {
 			t.Run(c.name+"/"+string(bench), func(t *testing.T) {
@@ -37,7 +35,7 @@ func TestPaperScaleProof(t *testing.T) {
 				cfg := UArchConfig{
 					Bench: bench, Seed: 42,
 					Points: 25, TrialsPerPoint: 70, WindowCycles: 10_000,
-					LatchesOnly: c.latches, Policy: c.policy,
+					LatchesOnly: c.latches, Hardened: c.hardened,
 				}
 				cfg.Workers = runtime.GOMAXPROCS(0)
 				reg := obs.NewRegistry()

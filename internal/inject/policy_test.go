@@ -8,29 +8,15 @@ import (
 	"repro/internal/workload"
 )
 
-// testPolicy is a small static-budget policy mixing a parity latch domain
-// with the ECC register-file domain. Assignments are listed in sorted
-// element order, matching what the constructors produce.
-func testPolicy() *protect.Policy {
-	return &protect.Policy{
-		Name: "test-policy", Kind: protect.KindStaticBudget, BudgetBits: 1300,
-		Assign: []protect.Assignment{
-			{Elem: "fetchPC", Prot: protect.Parity},
-			{Elem: "prf.val", Prot: protect.ECC},
-			{Elem: "rob.flags", Prot: protect.Parity},
-		},
-	}
-}
-
-// A campaign under a protection policy must stay deterministic across
-// worker counts and sharding, and must visit the exact trial plan of the
-// unprotected campaign at the same seed — the pick-before-consult property
-// every offline policy comparison in internal/experiments rests on.
+// The hardened campaign must stay deterministic across worker counts and
+// sharding, and must visit the exact trial plan of the unprotected campaign
+// at the same seed — the pick-before-protection property every offline
+// policy comparison in internal/experiments rests on.
 func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test is slow")
 	}
-	pol := testPolicy()
+	pol := protect.LowHangingFruit()
 
 	base := resumeUArch("gzip")
 	baseline, err := RunUArch(base)
@@ -39,14 +25,14 @@ func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 	}
 
 	cfg := resumeUArch("gzip")
-	cfg.Policy = pol
+	cfg.Hardened = true
 	serial, err := RunUArch(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg = resumeUArch("gzip")
-	cfg.Policy = pol
+	cfg.Hardened = true
 	cfg.Workers = 3
 	parallel, err := RunUArch(cfg)
 	if err != nil {
@@ -57,7 +43,7 @@ func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 	dirs := []string{filepath.Join(t.TempDir(), "s0"), filepath.Join(t.TempDir(), "s1")}
 	for i, d := range dirs {
 		scfg := resumeUArch("gzip")
-		scfg.Policy = pol
+		scfg.Hardened = true
 		scfg.ResumeFrom = d
 		scfg.ShardIndex, scfg.ShardCount = i, 2
 		scfg.Workers = 2
@@ -66,7 +52,7 @@ func TestUArchPolicyCampaignDeterministic(t *testing.T) {
 		}
 	}
 	mcfg := resumeUArch("gzip")
-	mcfg.Policy = pol
+	mcfg.Hardened = true
 	mcfg.Exec = mergeShards(t, dirs)
 	merged, err := RunUArch(mcfg)
 	if err != nil {
@@ -123,7 +109,7 @@ func TestUArchPolicyRepeatsPlainCampaign(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Policy = lhf
+				cfg.Hardened = true
 				hard, err := RunUArch(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -155,21 +141,20 @@ func TestUArchPolicyRepeatsPlainCampaign(t *testing.T) {
 	}
 }
 
-// The policy fingerprint is part of the campaign plan: resuming a journal
-// under a different policy must be refused, not silently blended.
+// Hardening is part of the campaign plan: resuming a hardened journal as a
+// plain campaign must be refused, not silently blended.
 func TestUArchPolicyEntersPlan(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	cfg := resumeUArch("gzip")
-	cfg.Policy = testPolicy()
+	cfg.Hardened = true
 	cfg.ResumeFrom = dir
 	if _, err := RunUArch(cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	other := resumeUArch("gzip")
-	other.Policy = nil
 	other.ResumeFrom = dir
 	if _, err := RunUArch(other); err == nil {
-		t.Fatal("resuming a policy campaign without its policy succeeded")
+		t.Fatal("resuming a hardened campaign without hardening succeeded")
 	}
 }

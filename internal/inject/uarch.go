@@ -15,15 +15,6 @@ import (
 	"repro/internal/workload"
 )
 
-// consultProtection is the single sanctioned point where campaign code reads
-// a protection map (the restorelint protectpolicy analyzer enforces this).
-// Centralising the read keeps the fault-model semantics in one place: a flip
-// landing in a parity domain is detected on read and recovered by flush, one
-// landing in an ECC domain is corrected — either way it cannot fail.
-func consultProtection(m *protect.Map, elem int) protect.Protection {
-	return m.Protection(elem)
-}
-
 // UArchConfig parameterises a microarchitectural fault-injection campaign
 // (Section 4.2): single bit flips into the pipeline's latches and SRAM
 // cells, with caches and predictor tables excluded, at pre-selected
@@ -58,15 +49,12 @@ type UArchConfig struct {
 	// common as cells shrink.
 	BurstBits int
 
-	// Policy, if non-nil, protects state elements with parity or ECC;
-	// flips landing in protected elements are corrected/flushed and cannot
-	// fail. protect.LowHangingFruit() is the paper's hardened pipeline
-	// (Figure 6); a policy derived by the budgeted optimizer from static
-	// vulnerability analysis is another. Protection is consulted only after
-	// each pre-drawn bit pick, so campaigns at the same seed visit identical
-	// picks under every policy; the policy enters the durable-campaign plan
-	// string (see planString).
-	Policy *protect.Policy
+	// Hardened protects the pipeline with the paper's parity/ECC placement,
+	// protect.LowHangingFruit (Figure 6): a flip landing in a protected
+	// element is corrected or flushed and cannot fail. Protection is asked
+	// only after each pre-drawn bit pick, so the hardened campaign visits
+	// the plain one's picks at the same seed.
+	Hardened bool
 
 	// Pipeline optionally overrides the processor configuration.
 	Pipeline *pipeline.Config
@@ -230,7 +218,7 @@ func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 		Config:      cfg,
 		TotalBits:   m.space.TotalBits(false),
 		LatchBits:   m.space.TotalBits(true),
-		HardenStats: protect.Survey(m.space, m.protMap),
+		HardenStats: protect.Survey(m.space, m.policy),
 	}
 	spec := cfg.spec()
 	spec.aux, err = json.Marshal(uarchAux{
@@ -254,11 +242,11 @@ type uarchModel struct {
 	cfg     *UArchConfig
 	master  *pipeline.Pipeline
 	space   *pipeline.StateSpace
-	protMap *protect.Map
-	offsets []uint64    // injection points, cycles past warm-up, ascending
-	picks   []uarchPick // per slot
-	point   int         // index of the point the master is at
-	base    uint64      // cycle the master has reached
+	policy  *protect.Policy // nil unless Hardened
+	offsets []uint64        // injection points, cycles past warm-up, ascending
+	picks   []uarchPick     // per slot
+	point   int             // index of the point the master is at
+	base    uint64          // cycle the master has reached
 	golden  *uarchGolden
 	pool    *forkPool[*pipeline.Pipeline]
 
@@ -329,8 +317,8 @@ func newUArchModel(cfg *UArchConfig, prog *workload.Program) (*uarchModel, error
 	// per-trial clones never inherit the attachment (Clone/ResetFrom drop it).
 	m.master.AttachObs(cfg.Obs, "pipeline")
 	m.space = m.master.State()
-	if m.protMap, err = cfg.Policy.Compile(m.space); err != nil {
-		return nil, err
+	if cfg.Hardened {
+		m.policy = protect.LowHangingFruit()
 	}
 	m.pool = newForkPool(cfg.Obs, "campaign_uarch_clone_pool", (*pipeline.Pipeline).Clone, (*pipeline.Pipeline).ResetFrom)
 	return m, nil
@@ -568,7 +556,7 @@ func (m *uarchModel) prepare(slot int, out *UArchTrial, w *engine) bool {
 		AnyMispLat:  Never,
 		DivergeLat:  Never,
 	}
-	if consultProtection(m.protMap, pick.ref.Elem) != protect.Unprotected {
+	if m.policy.ProtectionOf(out.Elem) != protect.Unprotected {
 		// Parity detects the flip on read (recovered by flush); ECC
 		// corrects it. Either way it cannot cause failure.
 		out.Protected = true

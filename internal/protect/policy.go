@@ -14,18 +14,16 @@
 // statically ranks bits by proven vulnerability and spends the check-bit
 // budget only where it pays.
 //
-// A Policy compiles onto a pipeline's StateSpace as a Map, which the
-// dynamic injection campaigns consult; it serializes to deterministic JSON
-// for the `restore-sim protect` subcommand; and it fingerprints into the
-// durable-campaign plan string, so policy-on campaigns keep the engines'
-// byte-identical serial/parallel/sharded guarantee.
+// Every question "is this element protected?" is one lookup by element
+// name, ProtectionOf: the hardened microarchitectural campaign asks it of
+// each pre-drawn pick, the offline scorers ask it of plain trials, and
+// Survey asks it of every element of a state space. A Policy serializes to
+// deterministic JSON for the `restore-sim protect` subcommand.
 package protect
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/pipeline"
 )
@@ -79,11 +77,6 @@ type Policy struct {
 	Predicted float64
 }
 
-// None returns the empty policy (the unprotected baseline).
-func None() *Policy {
-	return &Policy{Name: "none", Kind: KindNone}
-}
-
 // LowHangingFruit returns the paper's Section 5.2.2 placement: ECC on the
 // SRAM arrays whose data lives long enough to protect cheaply (register
 // file, both alias tables, free list), parity on the in-pipeline control
@@ -109,7 +102,9 @@ func LowHangingFruit() *Policy {
 }
 
 // ProtectionOf returns the domain the policy assigns to a named element
-// (Unprotected when the policy does not cover it).
+// (Unprotected when the policy does not cover it). Names match exactly: an
+// assignment to "prf.val" covers every word registered as prf.val and
+// nothing registered under another name.
 func (p *Policy) ProtectionOf(elem string) Protection {
 	if p == nil {
 		return Unprotected
@@ -122,91 +117,11 @@ func (p *Policy) ProtectionOf(elem string) Protection {
 	return Unprotected
 }
 
-// Compile builds the protection map of this policy over a state space; a
-// nil policy protects nothing. Matching is exact against the registered
-// element names: every element whose name equals an assignment's receives
-// that domain. An assignment naming an element the space does not register
-// is an error — a policy naming a stale or misspelled element must fail
-// loudly, not silently protect nothing — and so is an element named twice,
-// which would read one way here and another through ProtectionOf.
-func (p *Policy) Compile(space *pipeline.StateSpace) (*Map, error) {
-	elems := space.Elements()
-	m := &Map{prot: make([]Protection, len(elems))}
-	if p == nil {
-		return m, nil
-	}
-	assign := make(map[string]Protection, len(p.Assign))
-	var twice []string
-	for _, a := range p.Assign {
-		if _, ok := assign[a.Elem]; ok {
-			twice = append(twice, a.Elem)
-		}
-		assign[a.Elem] = a.Prot
-	}
-	if len(twice) > 0 {
-		sort.Strings(twice)
-		return nil, fmt.Errorf("protect: policy %q names element(s) more than once: %s",
-			p.Name, strings.Join(twice, ", "))
-	}
-	resolved := make(map[string]bool, len(assign))
-	for i := range elems {
-		if prot, ok := assign[elems[i].Name]; ok {
-			m.prot[i] = prot
-			resolved[elems[i].Name] = true
-		}
-	}
-	if len(resolved) != len(assign) {
-		var missing []string
-		for name := range assign {
-			if !resolved[name] {
-				missing = append(missing, name)
-			}
-		}
-		sort.Strings(missing)
-		return nil, fmt.Errorf("protect: policy %q names unregistered element(s): %s",
-			p.Name, strings.Join(missing, ", "))
-	}
-	return m, nil
-}
-
-// Survey compiles the policy and reports its coverage and check-bit
-// overhead over a state space.
-func (p *Policy) Survey(space *pipeline.StateSpace) (Stats, error) {
-	m, err := p.Compile(space)
-	if err != nil {
-		return Stats{}, err
-	}
-	return Survey(space, m), nil
-}
-
-// Fingerprint is the policy's canonical plan string: every field that
-// changes which trials a policy-on campaign can absorb. It feeds the
-// durable-campaign manifest hash (inject.planString), so two configurations
-// share journals exactly when their policies protect the same elements.
-func (p *Policy) Fingerprint() string {
-	if p == nil {
-		return "none"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s/%d:", p.Name, p.Kind, p.BudgetBits)
-	for i, a := range p.Assign {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%s", a.Elem, a.Prot)
-	}
-	return b.String()
-}
-
 // EqualBudget returns the check-bit overhead of the paper's hand-picked
 // placement over a state space — the budget at which static-derived and
 // hand-picked policies compare like-for-like.
-func EqualBudget(space *pipeline.StateSpace) (uint64, error) {
-	st, err := LowHangingFruit().Survey(space)
-	if err != nil {
-		return 0, err
-	}
-	return st.OverheadBits, nil
+func EqualBudget(space *pipeline.StateSpace) uint64 {
+	return Survey(space, LowHangingFruit()).OverheadBits
 }
 
 // policyJSON is the serialized form: stable field names, protection domains

@@ -33,22 +33,8 @@ func (p Protection) String() string {
 	return fmt.Sprintf("Protection(%d)", uint8(p))
 }
 
-// Map assigns a protection domain to every element of one state space. It
-// is what Policy.Compile produces and what the injection campaigns consult.
-type Map struct {
-	prot []Protection
-}
-
-// Protection returns the domain of element index i.
-func (m *Map) Protection(i int) Protection {
-	if i < 0 || i >= len(m.prot) {
-		return Unprotected
-	}
-	return m.prot[i]
-}
-
-// Stats summarises a protection map over its state space. The JSON names
-// are part of every µarch campaign manifest.
+// Stats summarises a policy over a state space. The JSON names are part of
+// every µarch campaign manifest.
 type Stats struct {
 	TotalBits    uint64 `json:"total_bits"`
 	ECCBits      uint64 `json:"ecc_bits"`
@@ -73,15 +59,16 @@ func (s Stats) OverheadFraction() float64 {
 	return float64(s.OverheadBits) / float64(s.TotalBits)
 }
 
-// Survey computes coverage and overhead statistics for the map over its
-// space. Overhead: parity costs 1 check bit per protected word; ECC costs
-// SEC-DED width (⌈log2 n⌉ + 2) per protected word.
-func Survey(space *pipeline.StateSpace, m *Map) Stats {
+// Survey computes the coverage and overhead of a policy over a state space,
+// asking the policy of every element by name; a nil policy protects nothing.
+// Overhead: parity costs 1 check bit per protected word; ECC costs SEC-DED
+// width (⌈log2 n⌉ + 2) per protected word.
+func Survey(space *pipeline.StateSpace, p *Policy) Stats {
 	var s Stats
-	for i, e := range space.Elements() {
+	for _, e := range space.Elements() {
 		bits := uint64(e.Bits)
 		s.TotalBits += bits
-		switch m.Protection(i) {
+		switch p.ProtectionOf(e.Name) {
 		case ECC:
 			s.ECCBits += bits
 			s.OverheadBits += SECDEDBits(bits)

@@ -1,148 +1,83 @@
 package protect
 
-import (
-	"strings"
-	"testing"
-
-	"repro/internal/pipeline"
-)
-
-func mustCompile(t *testing.T, s *pipeline.StateSpace, p *Policy) *Map {
-	t.Helper()
-	m, err := p.Compile(s)
-	if err != nil {
-		t.Fatalf("Compile(%s): %v", p.Fingerprint(), err)
-	}
-	return m
-}
+import "testing"
 
 func TestNonePolicyProtectsNothing(t *testing.T) {
 	s := testSpace(t)
-	for _, p := range []*Policy{nil, None()} {
-		m := mustCompile(t, s, p)
-		for i := range s.Elements() {
-			if m.Protection(i) != Unprotected {
-				t.Fatalf("element %d protected under %s", i, p.Fingerprint())
+	for _, p := range []*Policy{nil, {Name: "none"}} {
+		for _, e := range s.Elements() {
+			if got := p.ProtectionOf(e.Name); got != Unprotected {
+				t.Fatalf("%s is %v under %+v", e.Name, got, p)
 			}
 		}
-		st := Survey(s, m)
+		st := Survey(s, p)
 		if st.ECCBits != 0 || st.ParityBits != 0 || st.OverheadBits != 0 {
-			t.Errorf("%s has overhead: %+v", p.Fingerprint(), st)
+			t.Errorf("%+v has overhead: %+v", p, st)
 		}
 	}
 }
 
+// Campaigns ask LowHangingFruit of element names exactly as the state space
+// registers them, so every name it lists must be registered, once: a stale
+// or misspelled name would silently protect nothing, and a name listed
+// twice would cost its check bits once but read as its first domain only.
 func TestLowHangingFruitPlacement(t *testing.T) {
 	s := testSpace(t)
-	m := mustCompile(t, s, LowHangingFruit())
-	elems := s.Elements()
-	sawECC, sawParity, sawBare := false, false, false
-	for i := range elems {
-		switch elems[i].Name {
-		case "prf.val", "specRAT", "archRAT":
-			if m.Protection(i) != ECC {
-				t.Fatalf("%s not ECC", elems[i].Name)
-			}
-			sawECC = true
-		case "rob.ctl", "fq.word":
-			if m.Protection(i) != Parity {
-				t.Fatalf("%s not parity", elems[i].Name)
-			}
-			sawParity = true
-		case "stq.data", "exec.val", "rob.result":
-			if m.Protection(i) != Unprotected {
-				t.Fatalf("%s should be unprotected (operational data in flight)", elems[i].Name)
-			}
-			sawBare = true
+	registered := make(map[string]bool)
+	for _, e := range s.Elements() {
+		registered[e.Name] = true
+	}
+	listed := make(map[string]bool)
+	for _, a := range LowHangingFruit().Assign {
+		if !registered[a.Elem] {
+			t.Errorf("%s is not a registered element", a.Elem)
 		}
+		if listed[a.Elem] {
+			t.Errorf("%s is listed twice", a.Elem)
+		}
+		listed[a.Elem] = true
 	}
-	if !sawECC || !sawParity || !sawBare {
-		t.Fatalf("classification did not see all domains: ecc=%v parity=%v bare=%v",
-			sawECC, sawParity, sawBare)
-	}
-}
-
-// TestExactMatchingRejectsUnresolvedNames is the regression test for the
-// prefix-matching bug: a policy naming a renamed (or misspelled) element
-// must fail loudly, never silently protect nothing. A prefix matcher would
-// have accepted "prf" below as a prefix of prf.val.
-func TestExactMatchingRejectsUnresolvedNames(t *testing.T) {
-	s := testSpace(t)
-	for _, name := range []string{
-		"prf",          // bare prefix of prf.val / prf.ready
-		"rob.ctrl",     // renamed: registered name is rob.ctl
-		"fq.word.high", // over-qualified
-		"no.such.elem",
+	lhf := LowHangingFruit()
+	for _, c := range []struct {
+		elem string
+		want Protection
+	}{
+		{"prf.val", ECC}, {"specRAT", ECC}, {"archRAT", ECC},
+		{"rob.ctl", Parity}, {"fq.word", Parity},
+		// Operational data in flight stays unprotected.
+		{"stq.data", Unprotected}, {"exec.val", Unprotected}, {"rob.result", Unprotected},
+		// Names match exactly: a prefix of prf.val and prf.ready covers neither.
+		{"prf", Unprotected},
 	} {
-		p := &Policy{Name: "x", Assign: []Assignment{{Elem: "fq.word", Prot: Parity}, {Elem: name, Prot: Parity}}}
-		_, err := p.Compile(s)
-		if err == nil {
-			t.Fatalf("policy with unresolved name %q compiled silently", name)
-		}
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error for %q does not name the offender: %v", name, err)
-		}
-	}
-	// Several unresolved names are all reported, sorted.
-	p := &Policy{Name: "x", Assign: []Assignment{{Elem: "zzz.b", Prot: ECC}, {Elem: "aaa.a", Prot: Parity}}}
-	_, err := p.Compile(s)
-	if err == nil {
-		t.Fatal("two unresolved names compiled silently")
-	}
-	if !strings.Contains(err.Error(), "aaa.a, zzz.b") {
-		t.Errorf("unresolved names not sorted in error: %v", err)
-	}
-}
-
-// A policy naming an element twice would read one way through ProtectionOf
-// (the first entry) and another through a compiled map, so Compile refuses
-// it, naming the element, whether or not the two domains agree.
-func TestCompileRejectsDuplicateElement(t *testing.T) {
-	s := testSpace(t)
-	for _, second := range []Protection{Unprotected, Parity} {
-		p := &Policy{Name: "twice", Assign: []Assignment{
-			{Elem: "fetchPC", Prot: Parity},
-			{Elem: "prf.val", Prot: Parity},
-			{Elem: "prf.val", Prot: second},
-		}}
-		_, err := p.Compile(s)
-		if err == nil {
-			t.Fatalf("policy naming prf.val twice (parity, %v) compiled", second)
-		}
-		if !strings.Contains(err.Error(), "twice") || !strings.Contains(err.Error(), "prf.val") {
-			t.Errorf("error %q names neither the policy nor the element", err)
-		}
-		if strings.Contains(err.Error(), "fetchPC") {
-			t.Errorf("error %q names an element listed once", err)
+		if got := lhf.ProtectionOf(c.elem); got != c.want {
+			t.Errorf("%s: %v, want %v", c.elem, got, c.want)
 		}
 	}
 }
 
-func TestCompileCoversEveryWordOfAName(t *testing.T) {
+// An assignment covers every word registered under its name.
+func TestSurveyCoversEveryWordOfAName(t *testing.T) {
 	s := testSpace(t)
-	m := mustCompile(t, s, &Policy{Name: "x", Assign: []Assignment{{Elem: "prf.val", Prot: ECC}}})
-	words := 0
-	for i, e := range s.Elements() {
-		want := Unprotected
+	var words, bits, width uint64
+	for _, e := range s.Elements() {
 		if e.Name == "prf.val" {
-			want = ECC
 			words++
-		}
-		if m.Protection(i) != want {
-			t.Fatalf("element %d (%s): protection %v, want %v", i, e.Name, m.Protection(i), want)
+			bits += uint64(e.Bits)
+			width = uint64(e.Bits)
 		}
 	}
 	if words < 2 {
 		t.Fatalf("prf.val registers %d words; the test needs several", words)
 	}
+	st := Survey(s, &Policy{Name: "x", Assign: []Assignment{{Elem: "prf.val", Prot: ECC}}})
+	if st.ECCBits != bits || st.ParityBits != 0 || st.OverheadBits != words*SECDEDBits(width) {
+		t.Errorf("survey %+v, want %d ECC bits over %d words of %d bits", st, bits, words, width)
+	}
 }
 
 func TestSurveyCoverageAndOverhead(t *testing.T) {
 	s := testSpace(t)
-	st, err := LowHangingFruit().Survey(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Survey(s, LowHangingFruit())
 	if st.TotalBits != s.TotalBits(false) {
 		t.Errorf("total bits %d vs %d", st.TotalBits, s.TotalBits(false))
 	}
@@ -157,13 +92,6 @@ func TestSurveyCoverageAndOverhead(t *testing.T) {
 	}
 	t.Logf("coverage=%.1f%% overhead=%.1f%% (ecc=%d parity=%d of %d bits)",
 		100*cov, 100*oh, st.ECCBits, st.ParityBits, st.TotalBits)
-}
-
-func TestProtectionBounds(t *testing.T) {
-	m := mustCompile(t, testSpace(t), LowHangingFruit())
-	if m.Protection(-1) != Unprotected || m.Protection(1<<30) != Unprotected {
-		t.Error("out-of-range indices must be unprotected")
-	}
 }
 
 func TestProtectionStrings(t *testing.T) {

@@ -427,9 +427,7 @@ func Derive(bench workload.Benchmark, opt DeriveOptions) (*Policy, *Ranking, err
 	}
 	budget := opt.BudgetBits
 	if budget == 0 {
-		if budget, err = EqualBudget(space); err != nil {
-			return nil, nil, err
-		}
+		budget = EqualBudget(space)
 	}
 	pol := Optimize(fmt.Sprintf("static-budget/%s", bench), rk, budget)
 	return pol, rk, nil

@@ -10,21 +10,13 @@ import (
 	"repro/tools/restorelint/lint"
 )
 
-// ProtectPolicy guards the protection-policy abstraction two ways.
-//
-// First, switches over protect.Protection or protect.Kind must be exhaustive
-// or carry an explicit default — adding a protection domain (say, DMR) or a
-// policy kind must not silently fall through cost models, serializers, or
-// classifiers.
-//
-// Second, campaign code must consult a compiled protection map only through
-// the sanctioned consult point (a function named consultProtection): the
-// fault-model semantics of a protected hit — corrected in place vs detected
-// and flushed — live in one reviewed place, and a stray map read scattered
-// through an engine is where a policy-vs-scheme divergence would hide.
+// ProtectPolicy guards the protection-policy enumerations: switches over
+// protect.Protection or protect.Kind must be exhaustive or carry an explicit
+// default — adding a protection domain (say, DMR) or a policy kind must not
+// silently fall through cost models, serializers, or classifiers.
 var ProtectPolicy = &lint.Analyzer{
 	Name: "protectpolicy",
-	Doc:  "enforces exhaustive protection-domain switches and the single protection-map consult point",
+	Doc:  "enforces exhaustive protection-domain and policy-kind switches",
 	Run:  runProtectPolicy,
 }
 
@@ -47,13 +39,8 @@ func protEnum(t types.Type) (qualified string, obj *types.TypeName, ok bool) {
 func runProtectPolicy(pass *lint.Pass) {
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch node := n.(type) {
-			case *ast.SwitchStmt:
-				if node.Tag != nil {
-					checkProtSwitch(pass, node)
-				}
-			case *ast.CallExpr:
-				checkMapConsult(pass, node)
+			if sw, ok := n.(*ast.SwitchStmt); ok && sw.Tag != nil {
+				checkProtSwitch(pass, sw)
 			}
 			return true
 		})
@@ -113,38 +100,4 @@ func checkProtSwitch(pass *lint.Pass, sw *ast.SwitchStmt) {
 	pass.Reportf(sw.Pos(),
 		"switch over %s misses %s and has no default case; cover them or add an explicit default",
 		qual, strings.Join(missing, ", "))
-}
-
-// checkMapConsult flags Protection method calls on a protect.Map receiver
-// outside the protect package itself and outside a function named
-// consultProtection.
-func checkMapConsult(pass *lint.Pass, call *ast.CallExpr) {
-	if pass.Pkg.Types != nil && pass.Pkg.Types.Name() == "protect" {
-		return // the map's own package may read it freely
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Protection" {
-		return
-	}
-	recv, ok := pass.Pkg.Info.Types[sel.X]
-	if !ok {
-		return
-	}
-	t := recv.Type
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return
-	}
-	obj := named.Obj()
-	if obj.Name() != "Map" || obj.Pkg() == nil || obj.Pkg().Name() != "protect" {
-		return
-	}
-	if fd := pass.Pkg.EnclosingFunc(call.Pos()); fd != nil && fd.Name.Name == "consultProtection" {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"protect.Map.Protection read outside consultProtection; campaign code must consult protection maps through the sanctioned consult point")
 }

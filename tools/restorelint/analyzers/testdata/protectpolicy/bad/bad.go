@@ -24,9 +24,3 @@ func describe(k protect.Kind) string {
 	}
 	return ""
 }
-
-// Campaign-style code reading a protection map directly instead of going
-// through the sanctioned consult point.
-func runTrial(m *protect.Map, elem int) bool {
-	return m.Protection(elem) == protect.Unprotected // want "protect.Map.Protection read outside consultProtection"
-}

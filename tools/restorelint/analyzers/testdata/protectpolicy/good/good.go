@@ -26,21 +26,6 @@ func isDerived(k protect.Kind) bool {
 	}
 }
 
-// The sanctioned consult point may read the map.
-func consultProtection(m *protect.Map, elem int) protect.Protection {
-	return m.Protection(elem)
-}
-
-// Campaign code goes through the consult point...
-func runTrial(m *protect.Map, elem int) bool {
-	return consultProtection(m, elem) == protect.Unprotected
-}
-
-// ...or asks the policy itself, which is not a compiled map read.
-func absorbed(pol *protect.Policy, elem string) bool {
-	return pol.ProtectionOf(elem) != protect.Unprotected
-}
-
 // Switches over other types stay out of scope.
 func plain(x int) int {
 	switch x {
@@ -48,9 +33,4 @@ func plain(x int) int {
 		return 1
 	}
 	return 0
-}
-
-// The escape hatch still works for deliberate direct reads.
-func surveyed(m *protect.Map) bool {
-	return m.Protection(0) != protect.Unprotected //restorelint:ignore protectpolicy — reporting helper, not campaign logic
 }

@@ -8,8 +8,8 @@
 //	               private fields are used only by their struct's methods
 //	bitwidth       shifts, masks, and sign extensions respect field widths
 //	stateregister  every uint64 state-struct field reaches the StateSpace
-//	protectpolicy  protection-domain switches are exhaustive; protection
-//	               maps are consulted only through consultProtection
+//	protectpolicy  switches over protection domains and policy kinds are
+//	               exhaustive or carry a default
 //	hotpathalloc   //restorelint:hotpath functions are transitively
 //	               allocation-free in steady state
 //	goroutineshare goroutines share mutable state only through sync
