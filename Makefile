@@ -62,14 +62,14 @@ restorelint:
 # daemon's job-spec decoder and its job.json loader (regression corpus plus
 # 10s of new inputs each).
 fuzz:
-	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
-	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzDecode -fuzztime 10s
-	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzScanJournal -fuzztime 10s
-	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s
-	$(GO) test ./internal/ckptio -run '^$$' -fuzz FuzzReadImage -fuzztime 10s
-	$(GO) test ./internal/pipeline -run '^$$' -fuzz FuzzLoadGoldenImage -fuzztime 10s
-	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 10s
-	$(GO) test ./internal/service -run '^$$' -fuzz FuzzLoadJob -fuzztime 10s
+	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzScanJournal -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzReadManifest -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/ckptio -run '^$$' -fuzz FuzzReadImage -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/pipeline -run '^$$' -fuzz FuzzLoadGoldenImage -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeSpec -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzLoadJob -fuzztime 10s -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
