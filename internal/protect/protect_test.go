@@ -272,7 +272,7 @@ func TestDeriveDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("derive runs a fault-free profile window")
 	}
-	opt := DeriveOptions{Seed: 11, Scale: 0.25, ProfileWarmup: 2_000, ProfileWindow: 8_000}
+	opt := DeriveOptions{Seed: 11, Scale: 0.25}
 	p1, rk1, err := Derive("mcf", opt)
 	if err != nil {
 		t.Fatal(err)

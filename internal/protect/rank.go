@@ -377,11 +377,14 @@ type DeriveOptions struct {
 	// BudgetBits is the check-bit budget; zero means "equal budget": the
 	// overhead of the paper's hand-picked placement over the same space.
 	BudgetBits uint64
-	// ProfileWarmup / ProfileWindow bound the fault-free residency run
-	// (cycles); zero selects defaults.
-	ProfileWarmup uint64
-	ProfileWindow uint64
 }
+
+// The fault-free residency run Derive profiles: a warm-up, then a sampled
+// window, in cycles.
+const (
+	profileWarmup = 10_000
+	profileWindow = 40_000
+)
 
 // Derive closes the static→hardening loop for one benchmark: analyze the
 // program statically, profile its fault-free residency, rank the state
@@ -394,12 +397,6 @@ func Derive(bench workload.Benchmark, opt DeriveOptions) (*Policy, *Ranking, err
 	if opt.Scale == 0 {
 		opt.Scale = 1.0
 	}
-	if opt.ProfileWarmup == 0 {
-		opt.ProfileWarmup = 10_000
-	}
-	if opt.ProfileWindow == 0 {
-		opt.ProfileWindow = 40_000
-	}
 	prog, err := workload.Generate(bench, workload.Config{Seed: opt.Seed, Scale: opt.Scale})
 	if err != nil {
 		return nil, nil, err
@@ -408,7 +405,7 @@ func Derive(bench workload.Benchmark, opt DeriveOptions) (*Policy, *Ranking, err
 	if err != nil {
 		return nil, nil, err
 	}
-	prof, err := MeasureProfile(prog, opt.ProfileWarmup, opt.ProfileWindow)
+	prof, err := MeasureProfile(prog, profileWarmup, profileWindow)
 	if err != nil {
 		return nil, nil, err
 	}
